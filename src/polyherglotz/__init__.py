@@ -5,7 +5,6 @@ variable non-dependence checks, the symmetric-extension characterization,
 reconstruction from upper-half-plane data, and Stieltjes inversion.
 """
 
-from .backend import backend_name
 from .core import (
     ComponentSignature,
     CutPlanePoint,
@@ -95,3 +94,8 @@ from .analysis import (
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """The kernel implementation in use; there is only the Python one."""
+    return "python"

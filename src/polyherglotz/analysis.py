@@ -20,6 +20,7 @@ import numpy as np
 from .core import CutPlanePoint, enumerate_subsets, psi_map
 from .errors import InvalidArgumentError, TestFunctionBoundError
 from .quadrature import QuadratureConfig, integrate_rn
+from .functions import _probe_points
 from .functions import herglotz_imag_lower_bound_probe  # noqa: F401  (re-export)
 
 DEFAULT_SEED = 1729
@@ -204,24 +205,9 @@ def positivity_check(
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
     """Sampled Im f >= 0 on C+^n (tolerance -tol for roundoff)."""
-    from .functions import _probe_grid
-
     worst = math.inf
     witness = None
-    for p in _probe_grid(f.dimension):
-        v = complex(f(p)).imag
-        if v < worst:
-            worst, witness = v, p
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        coords = tuple(
-            complex(
-                rng.uniform(-6, 6),
-                math.exp(rng.uniform(math.log(0.05), math.log(10))),
-            )
-            for _ in range(f.dimension)
-        )
-        p = CutPlanePoint(coords)
+    for p in _probe_points(f.dimension, samples, seed):
         v = complex(f(p)).imag
         if v < worst:
             worst, witness = v, p

@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument(
         "--mode", choices=("classic", "alternating"), default="alternating"
     )
-    pi.add_argument("--measure", help="unused placeholder kept for symmetry")
     common(pi)
     pi.set_defaults(func=cmd_invert)
 

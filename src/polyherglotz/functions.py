@@ -1,19 +1,21 @@
 """Evaluable functions on the poly cut-plane.
 
 Three families share one calling convention (``f(point) -> complex`` with
-``f.dimension``): quadrature-backed Cauchy-type functions defined by a
-measure, Herglotz functions given by a representing triple (a, b, mu) and
-extended symmetrically to the whole cut-plane, and the closed-form
-two-variable example catalogue f0..f7.
+``f.dimension``): Cauchy-type functions defined by a measure, Herglotz
+functions given by a representing triple (a, b, mu) and extended
+symmetrically to the whole cut-plane, and the closed-form two-variable
+example catalogue f0..f7.
 
 The kernel integral of a product-structured measure factorizes axis by
 axis through K_n = i(2 prod A(z_l, t_l) - prod A(i, t_l)), so each
-evaluation costs n one-dimensional quadratures instead of one n-dimensional
-one.  Atomic and curve measures keep the direct route.
+evaluation costs 2n closed-form weighted A-integrals
+(`DensityDescriptor.a_integral`) instead of one n-dimensional quadrature.
+Atomic measures are summed exactly; curve measures keep a line quadrature.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,13 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .backend import impl
 from .core import CutPlanePoint
 from .errors import (
     InvalidArgumentError,
     InvalidMeasureError,
     UnknownCatalogueIdError,
 )
+from .kernels import kernel_k
 from .measures import (
     MU2,
     Atomic,
@@ -44,32 +46,6 @@ from .measures import (
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_line
 
 
-@lru_cache(maxsize=200_000)
-def _weighted_a_integral(z: complex, w: DensityDescriptor, cfg: QuadratureConfig):
-    """integral over R of A(z, t) w(t) dt, cached per coordinate."""
-    code = w.backend_code()
-    if code is not None:
-        wcode, p0, p1 = code
-        return impl.a_line_integral(
-            z, wcode, p0, p1, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions
-        )
-    return integrate_line(
-        lambda t: impl.a_factor(z, t) * w(t), cfg, singularities=[z.real]
-    )
-
-
-def _product_error(values, errors) -> float:
-    """First-order error bound for a product of noisy factors."""
-    total = 0.0
-    for j, e in enumerate(errors):
-        rest = 1.0
-        for k, v in enumerate(values):
-            if k != j:
-                rest *= abs(v)
-        total += e * rest
-    return total
-
-
 def _axis_weights(mu) -> tuple | None:
     if isinstance(mu, LebesgueScaled):
         return (constant_density(mu.c),) + (constant_density(1.0),) * (mu.dim - 1)
@@ -82,7 +58,7 @@ def _kernel_integral(mu: Measure, zs: tuple, cfg: QuadratureConfig):
     """integral of K_n(z, .) dmu, exploiting measure structure."""
     if isinstance(mu, Atomic):
         val = sum(
-            (w * impl.kernel_k(zs, p) for p, w in zip(mu.points, mu.weights)), 0j
+            (w * kernel_k(zs, p) for p, w in zip(mu.points, mu.weights)), 0j
         )
         return val, 0.0
 
@@ -96,24 +72,16 @@ def _kernel_integral(mu: Measure, zs: tuple, cfg: QuadratureConfig):
 
     weights = _axis_weights(mu)
     if weights is not None:
-        ia, ea, ic, ec = [], [], [], []
-        for z, w in zip(zs, weights):
-            v, e = _weighted_a_integral(z, w, cfg)
-            ia.append(v)
-            ea.append(e)
-            v, e = _weighted_a_integral(1j, w, cfg)
-            ic.append(v)
-            ec.append(e)
-        val = 1j * (2.0 * math.prod(ia) - math.prod(ic))
-        err = 2.0 * _product_error(ia, ea) + _product_error(ic, ec)
-        return val, err
+        ia = math.prod(w.a_integral(z) for z, w in zip(zs, weights))
+        ic = math.prod(w.a_integral(1j) for w in weights)
+        return 1j * (2.0 * ia - ic), 0.0
 
     if isinstance(mu, CurvePushforward):
         hints = [
             (z.real - b) / a for z, a, b in zip(zs, mu.alpha, mu.beta) if a != 0.0
         ]
         val, err = integrate_line(
-            lambda s: impl.kernel_k(zs, mu.at(s)) * mu.weight(s),
+            lambda s: kernel_k(zs, mu.at(s)) * mu.weight(s),
             cfg,
             singularities=hints,
         )
@@ -147,16 +115,13 @@ def _boundary_hints(mu: Measure, prefix: tuple):
     return []  # absolutely continuous with smooth density
 
 
-_GROWTH_CACHE: dict = {}
+@lru_cache(maxsize=1024)
+def _growth(mu: Measure, cfg: QuadratureConfig):
+    return check_growth(mu, cfg)
 
 
 def _require_growth(mu: Measure, cfg: QuadratureConfig) -> None:
-    key = (mu, cfg)
-    result = _GROWTH_CACHE.get(key)
-    if result is None:
-        result = check_growth(mu, cfg)
-        _GROWTH_CACHE[key] = result
-    if not result.finite:
+    if not _growth(mu, cfg).finite:
         raise InvalidMeasureError("measure fails the growth condition")
 
 
@@ -392,7 +357,8 @@ F4_NEVANLINNA_MEASURE = MeasureSum(
 )
 
 
-def _probe_grid(n: int):
+def _probe_points(n: int, samples: int, seed: int):
+    """A deterministic C+^n grid, then `samples` seeded log-uniform points."""
     if n <= 2:
         res = (-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 4.0)
         ims = (0.1, 0.5, 1.0, 2.0, 4.0)
@@ -400,24 +366,22 @@ def _probe_grid(n: int):
         res = (-2.0, 0.0, 2.0)
         ims = (0.1, 1.0)
     axis = [complex(x, y) for x in res for y in ims]
-    import itertools
-
     for coords in itertools.product(axis, repeat=n):
+        yield CutPlanePoint(coords)
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        coords = tuple(
+            complex(rng.uniform(-6, 6), math.exp(rng.uniform(math.log(0.05), math.log(10))))
+            for _ in range(n)
+        )
         yield CutPlanePoint(coords)
 
 
 def herglotz_imag_lower_bound_probe(f, samples: int = 200, seed: int = 1729) -> float:
     """Minimum of Im f over a deterministic C+^n grid plus seeded random points."""
     best = math.inf
-    for p in _probe_grid(f.dimension):
+    for p in _probe_points(f.dimension, samples, seed):
         best = min(best, f(p).imag)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        coords = tuple(
-            complex(rng.uniform(-6, 6), math.exp(rng.uniform(math.log(0.05), math.log(10))))
-            for _ in range(f.dimension)
-        )
-        best = min(best, f(CutPlanePoint(coords)).imag)
     return best
 
 

@@ -12,15 +12,65 @@ independent cross-check.
 
 Near-real points are accepted; precision then degrades like 1/|Im z_j|,
 which Stieltjes inversion relies on when probing y -> 0+.
+
+`_a_factor`, `_n_factor`, `kernel_k`, `symmetry_sum` and `alternating_sum`
+skip input validation; the hot loops of the measures and functions modules
+call them directly.  The public wrappers below own the input checks.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .backend import impl
 from .core import CutPlanePoint
 from .errors import InvalidArgumentError, InvalidPointError, PoleError
+
+
+def _a_factor(z, t):
+    return (1.0 / (t - z) - 1.0 / (t + 1j)) / 2j
+
+
+def _n_factor(rho, z, t):
+    if rho == -1:
+        return (1.0 / (t - z) - 1.0 / (t - 1j)) / 2j
+    if rho == 0:
+        return (1.0 / (t - 1j) - 1.0 / (t + 1j)) / 2j
+    return (1.0 / (t + 1j) - 1.0 / (t - z.conjugate())) / 2j
+
+
+def kernel_k(zs, ts):
+    pa = 1.0 + 0j
+    pc = 1.0 + 0j
+    for z, t in zip(zs, ts):
+        pa *= _a_factor(z, t)
+        pc *= _a_factor(1j, t)
+    return 1j * (2.0 * pa - pc)
+
+
+def symmetry_sum(zs, ts):
+    """sum over nonempty B of (-1)^(|B|+1) conj K_n(Psi_B(i*1, z), t)."""
+    n = len(zs)
+    total = 0j
+    for mask in range(1, 1 << n):
+        refl = tuple(
+            zs[j].conjugate() if mask >> j & 1 else 1j for j in range(n)
+        )
+        sign = -1.0 if bin(mask).count("1") % 2 == 0 else 1.0
+        total += sign * kernel_k(refl, ts).conjugate()
+    return total
+
+
+def alternating_sum(zs, ts):
+    """sum over all B of (-1)^|B| K_n(Psi_B(z, z), t)."""
+    n = len(zs)
+    total = 0j
+    for mask in range(1 << n):
+        refl = tuple(
+            zs[j].conjugate() if mask >> j & 1 else zs[j] for j in range(n)
+        )
+        sign = 1.0 if bin(mask).count("1") % 2 == 0 else -1.0
+        total += sign * kernel_k(refl, ts)
+    return total
 
 
 def _coords(z) -> tuple:
@@ -41,7 +91,7 @@ def _check_t(zs: tuple, t: Sequence[float]) -> tuple:
 def kernel_K(z, t) -> complex:
     """Evaluate K_n(z, t)."""
     zs = _coords(z)
-    return impl.kernel_k(zs, _check_t(zs, t))
+    return kernel_k(zs, _check_t(zs, t))
 
 
 def kernel_K1_closed(z: complex, t: float) -> complex:
@@ -49,7 +99,8 @@ def kernel_K1_closed(z: complex, t: float) -> complex:
     z = complex(z)
     if z.imag == 0.0:
         raise InvalidPointError("z must be nonreal")
-    return impl.k1_closed(z, float(t))
+    t = float(t)
+    return 1.0 / (t - z) - t / (1.0 + t * t)
 
 
 def n_factor(rho: int, z: complex, t: float) -> complex:
@@ -62,7 +113,7 @@ def n_factor(rho: int, z: complex, t: float) -> complex:
     z = complex(z)
     if z.imag == 0.0:
         raise InvalidPointError("z must be nonreal")
-    return impl.n_factor(rho, z, float(t))
+    return _n_factor(rho, z, float(t))
 
 
 def a_factor(z: complex, t: float) -> complex:
@@ -71,7 +122,7 @@ def a_factor(z: complex, t: float) -> complex:
     t = float(t)
     if z.imag == 0.0 and t == z.real:
         raise PoleError(f"A(z, t) has a pole at t = z = {t}")
-    return impl.a_factor(z, t)
+    return _a_factor(z, t)
 
 
 def poisson(z, t) -> float:
@@ -79,14 +130,17 @@ def poisson(z, t) -> float:
     zs = _coords(z)
     if any(c.imag <= 0 for c in zs):
         raise InvalidArgumentError("poisson kernel requires all Im z_j > 0")
-    return impl.poisson(zs, _check_t(zs, t))
+    p = 1.0
+    for c, x in zip(zs, _check_t(zs, t)):
+        p *= c.imag / abs(x - c) ** 2
+    return p
 
 
 def kernel_symmetry_residual(z, t) -> float:
     """|K_n(z,t) - sum_{B nonempty} (-1)^(|B|+1) conj K_n(Psi_B(i*1, z), t)|."""
     zs = _coords(z)
     t = _check_t(zs, t)
-    return abs(impl.kernel_k(zs, t) - impl.symmetry_sum(zs, t))
+    return abs(kernel_k(zs, t) - symmetry_sum(zs, t))
 
 
 def poisson_alternating_sum(z, t) -> complex:
@@ -94,4 +148,4 @@ def poisson_alternating_sum(z, t) -> complex:
     zs = _coords(z)
     if any(c.imag <= 0 for c in zs):
         raise InvalidArgumentError("alternating sum requires all Im z_j > 0")
-    return impl.alternating_sum(zs, _check_t(zs, t))
+    return alternating_sum(zs, _check_t(zs, t))

@@ -16,13 +16,20 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .backend import impl
+from scipy.special import wofz
+
 from .core import CutPlanePoint
 from .errors import DivergenceError, InvalidArgumentError, InvalidMeasureError
+from .kernels import _n_factor
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_line, integrate_rn
 
+# name -> (density w(t), its Cauchy transform C(z) for Im z > 0)
 _RATIONAL_TABLE: dict = {
-    "cauchy_squared": lambda t: 1.0 / (1.0 + t * t) ** 2,
+    # C by residues at the double pole t = -i
+    "cauchy_squared": (
+        lambda t: 1.0 / (1.0 + t * t) ** 2,
+        lambda z: -0.5 * math.pi * (1j / (z + 1j) ** 2 + 1.0 / (z + 1j)),
+    ),
 }
 
 
@@ -59,19 +66,31 @@ class DensityDescriptor:
         if self.form == "gaussian":
             m, s = self.params
             return math.exp(-0.5 * ((t - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
-        return _RATIONAL_TABLE[self.params[0]](t)
+        return _RATIONAL_TABLE[self.params[0]][0](t)
 
-    def backend_code(self):
-        """(wcode, p0, p1) for the compiled A-integral, or None."""
+    def a_integral(self, z: complex) -> complex:
+        """integral over R of A(z, t) w(t) dt in closed form, for nonreal z.
+
+        A(z, t) = (1/2i)(1/(t-z) - 1/(t+i)), so the integral is
+        (C(z) - C(-i)) / 2i with C the Cauchy transform of w (see
+        `_cauchy_transform`); the constant density, whose transform
+        diverges, gives c*pi above the real axis and 0 below it.
+        """
         if self.form == "constant":
-            return impl.W_CONSTANT, self.params[0], 0.0
+            return complex(self.params[0] * math.pi) if z.imag > 0 else 0j
+        return (self._cauchy_transform(z) - self._cauchy_transform(-1j)) / 2j
+
+    def _cauchy_transform(self, z: complex) -> complex:
+        """C(z) = integral of w(t)/(t-z) dt; C(z) = conj C(conj z) for Im z < 0."""
+        if z.imag < 0:
+            return self._cauchy_transform(z.conjugate()).conjugate()
         if self.form == "cauchy_weight":
-            return impl.W_CAUCHY, 0.0, 0.0
+            return -math.pi / (z + 1j)
         if self.form == "gaussian":
-            return impl.W_GAUSSIAN, self.params[0], self.params[1]
-        if self.params[0] == "cauchy_squared":
-            return impl.W_CAUCHY_SQ, 0.0, 0.0
-        return None
+            m, s = self.params
+            w = wofz((z - m) / (s * math.sqrt(2.0)))
+            return complex(1j * math.pi * w / (s * math.sqrt(2.0 * math.pi)))
+        return _RATIONAL_TABLE[self.params[0]][1](z)
 
 
 def constant_density(c: float) -> DensityDescriptor:
@@ -329,7 +348,7 @@ def nevanlinna_residual(
         def fn(t, rho=rho):
             p = 1.0 + 0j
             for r, zz, tt in zip(rho, z.coords, t):
-                p *= impl.n_factor(r, zz, tt)
+                p *= _n_factor(r, zz, tt)
             return p
 
         val, _ = integrate(mu, fn, cfg)

@@ -5,6 +5,7 @@ import pytest
 
 from polyherglotz import (
     InvalidArgumentError,
+    backend_name,
     InvalidPointError,
     PoleError,
     a_factor,
@@ -142,3 +143,7 @@ def test_kernel_product_form_n2_consistency(rng):
             - a_factor(1j, t[0]) * a_factor(1j, t[1])
         )
         assert abs(kernel_K(z, t) - manual) < 1e-13
+
+
+def test_backend_name_reported():
+    assert backend_name() == "python"

@@ -12,7 +12,6 @@ from .core import (
     point,
     psi_map,
     psi_point,
-    set_max_dimension,
     signature_of,
 )
 from .errors import (

@@ -17,11 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import CutPlanePoint, enumerate_subsets, psi_map
+from .core import CutPlanePoint, alternating_sum, symmetry_sum
 from .errors import InvalidArgumentError, TestFunctionBoundError
 from .quadrature import QuadratureConfig, integrate_rn
 from .functions import _probe_points
-from .functions import herglotz_imag_lower_bound_probe  # noqa: F401  (re-export)
 
 DEFAULT_SEED = 1729
 
@@ -90,14 +89,7 @@ def richardson_tableau(values: Sequence[complex], ratio: float = 2.0, order: int
 
 def full_symmetry_sum(f, z: CutPlanePoint) -> complex:
     """sum over nonempty B of (-1)^(|B|+1) conj f(Psi_B(i*1, z))."""
-    n = z.n
-    ivec = (1j,) * n
-    total = 0j
-    for B in enumerate_subsets(n, "nonempty"):
-        refl = CutPlanePoint(psi_map(B, ivec, z.coords))
-        sign = 1.0 if len(B) % 2 == 1 else -1.0
-        total += sign * complex(f(refl)).conjugate()
-    return total
+    return symmetry_sum(lambda w: complex(f(CutPlanePoint(w))), z.coords)
 
 
 def symmetry_residual(f, z: CutPlanePoint) -> float:
@@ -236,16 +228,8 @@ def reconstruct_from_upper(f_upper, z: CutPlanePoint) -> complex:
         raise InvalidArgumentError(
             "point lies in C+^n; evaluate the function directly"
         )
-    n = z.n
-    ivec = (1j,) * n
-    total = 0j
-    for B in enumerate_subsets(n, "subsets_of", bprime):
-        if not B:
-            continue
-        refl = CutPlanePoint(psi_map(B, ivec, z.coords))
-        sign = 1.0 if len(B) % 2 == 1 else -1.0
-        total += sign * complex(f_upper(refl)).conjugate()
-    return total
+    within = sum(1 << (j - 1) for j in bprime)
+    return symmetry_sum(lambda w: complex(f_upper(CutPlanePoint(w))), z.coords, within)
 
 
 # ---------------------------------------------------------------------------
@@ -530,90 +514,22 @@ def _limit_in_y(raw_values, y_sequence, order, conv_tol):
     return extrapolants[-1], rows, converged
 
 
-def _make_hint_fn(hints):
-    if hints is None:
-        return None
-    if callable(hints):
-        return hints
-    return lambda prefix: hints
-
-
-def stieltjes_classic(
-    h_upper,
-    phi: TestFunction,
-    cfg: LimitConfig = DEFAULT_LIMITS,
-    quad: QuadratureConfig = _INVERSION_QUAD,
-    hints=None,
-    conv_tol: float = 5e-4,
-) -> InversionResult:
-    """Recover integral phi dmu from Im h on C+^n as y -> 0+."""
+def _stieltjes(f, boundary, phi, cfg, quad, conv_tol, mode) -> InversionResult:
+    """Integrate phi(x) * boundary(x, y) over R^n on the y ladder and
+    extrapolate to y -> 0+; quadrature hints come from f.boundary_hints."""
     n = phi.dimension
-    if h_upper.dimension != n:
-        raise InvalidArgumentError("test function and h dimensions differ")
+    if f.dimension != n:
+        raise InvalidArgumentError("test function and function dimensions differ")
     _spot_check_bound(phi)
-    hint_fn = _make_hint_fn(hints)
-    if hint_fn is None and hasattr(h_upper, "boundary_hints"):
-        hint_fn = h_upper.boundary_hints
+    hints = getattr(f, "boundary_hints", None)
 
     raw = []
     for y in cfg.y_sequence:
 
         def integrand(x, y=y):
-            z = CutPlanePoint(tuple(complex(v, y) for v in x))
-            return phi(x) * complex(h_upper(z)).imag
+            return phi(x) * boundary(x, y)
 
-        val, _ = integrate_rn(integrand, n, quad, hints=hint_fn)
-        raw.append(val.real)
-    est, rows, converged = _limit_in_y(
-        raw, cfg.y_sequence, cfg.extrapolation_order, conv_tol
-    )
-    return InversionResult(
-        float(est.real if isinstance(est, complex) else est),
-        rows,
-        converged,
-        "classic",
-        {"phi": phi.name, "y_sequence": list(cfg.y_sequence)},
-    )
-
-
-def alternating_boundary_sum(g, x: tuple, y: float) -> complex:
-    """(1/2i) sum_B (-1)^|B| g(Psi_B(x+iy, x+iy))."""
-    n = len(x)
-    total = 0j
-    for mask in range(1 << n):
-        coords = tuple(
-            complex(x[j], -y if mask >> j & 1 else y) for j in range(n)
-        )
-        sign = 1.0 if bin(mask).count("1") % 2 == 0 else -1.0
-        total += sign * complex(g(CutPlanePoint(coords)))
-    return total / 2j
-
-
-def stieltjes_cauchy_type(
-    g,
-    phi: TestFunction,
-    cfg: LimitConfig = DEFAULT_LIMITS,
-    quad: QuadratureConfig = _INVERSION_QUAD,
-    hints=None,
-    conv_tol: float = 5e-4,
-) -> InversionResult:
-    """Recover integral phi dmu of a Cauchy-type function's defining measure
-    from its values on all 2^n components."""
-    n = phi.dimension
-    if g.dimension != n:
-        raise InvalidArgumentError("test function and g dimensions differ")
-    _spot_check_bound(phi)
-    hint_fn = _make_hint_fn(hints)
-    if hint_fn is None and hasattr(g, "boundary_hints"):
-        hint_fn = g.boundary_hints
-
-    raw = []
-    for y in cfg.y_sequence:
-
-        def integrand(x, y=y):
-            return phi(x) * alternating_boundary_sum(g, x, y)
-
-        val, _ = integrate_rn(integrand, n, quad, hints=hint_fn)
+        val, _ = integrate_rn(integrand, n, quad, hints=hints)
         raw.append(val.real)
     est, rows, converged = _limit_in_y(
         raw, cfg.y_sequence, cfg.extrapolation_order, conv_tol
@@ -622,6 +538,44 @@ def stieltjes_cauchy_type(
         float(est),
         rows,
         converged,
-        "alternating",
+        mode,
         {"phi": phi.name, "y_sequence": list(cfg.y_sequence)},
     )
+
+
+def stieltjes_classic(
+    h_upper,
+    phi: TestFunction,
+    cfg: LimitConfig = DEFAULT_LIMITS,
+    quad: QuadratureConfig = _INVERSION_QUAD,
+    conv_tol: float = 5e-4,
+) -> InversionResult:
+    """Recover integral phi dmu from Im h on C+^n as y -> 0+."""
+
+    def im_h(x, y):
+        return complex(h_upper(CutPlanePoint(tuple(complex(v, y) for v in x)))).imag
+
+    return _stieltjes(h_upper, im_h, phi, cfg, quad, conv_tol, "classic")
+
+
+def alternating_boundary_sum(g, x: tuple, y: float) -> complex:
+    """(1/2i) sum_B (-1)^|B| g(Psi_B(x+iy, x+iy))."""
+    z = tuple(complex(v, y) for v in x)
+    return alternating_sum(lambda w: complex(g(CutPlanePoint(w))), z) / 2j
+
+
+def stieltjes_cauchy_type(
+    g,
+    phi: TestFunction,
+    cfg: LimitConfig = DEFAULT_LIMITS,
+    quad: QuadratureConfig = _INVERSION_QUAD,
+    conv_tol: float = 5e-4,
+) -> InversionResult:
+    """Recover integral phi dmu of a Cauchy-type function's defining measure
+    from its values on all 2^n components."""
+
+    def boundary(x, y):
+        # looked up at call time, so a wrapper patched onto the module sees it
+        return alternating_boundary_sum(g, x, y)
+
+    return _stieltjes(g, boundary, phi, cfg, quad, conv_tol, "alternating")

@@ -149,7 +149,7 @@ def cmd_eval(args) -> int:
     cfg = _quad_from_config(_load_config(args.config), DEFAULT_CONFIG)
     f = parse_function(args.fn, cfg)
     p = parse_point(args.point)
-    val, err = f.evaluate(p) if hasattr(f, "evaluate") else (f(p), 0.0)
+    val, err = f.evaluate(p)
     record = {
         "fn": args.fn,
         "point": [format_complex(c) for c in p.coords],
@@ -291,7 +291,7 @@ def cmd_invert(args) -> int:
         res = analysis.stieltjes_cauchy_type(f, phi, limits, quad, conv_tol=conv_tol)
     lines = ["y,raw,extrapolant"]
     for y, raw, ext in res.rows:
-        lines.append(f"{repr(y)},{repr(float(raw))},{repr(float(ext.real if isinstance(ext, complex) else ext))}")
+        lines.append(f"{repr(y)},{repr(float(raw))},{repr(float(ext))}")
     _emit("\n".join(lines), args.out)
     print(repr(res.estimate))
     if not res.converged:

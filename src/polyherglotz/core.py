@@ -3,8 +3,10 @@
 A point of the cut-plane is an n-tuple of complex coordinates, each with
 strictly nonzero imaginary part.  The cut-plane splits into 2^n connected
 components indexed by the sign pattern of the imaginary parts; most of the
-combinatorics downstream (symmetry sums, reconstruction, inversion) runs
-over subsets of {1, ..., n} in bitmask order.
+combinatorics downstream runs over subsets of {1, ..., n} in bitmask order,
+through the two reflection sums defined here: `symmetry_sum` (the symmetry
+formula and its reduced form used for reconstruction) and `alternating_sum`
+(the alternating sum behind Stieltjes inversion).
 """
 
 from __future__ import annotations
@@ -15,27 +17,10 @@ from typing import Iterator, Sequence
 from .errors import InvalidArgumentError, InvalidPointError
 
 #: Hard ceiling on the dimension; subset sums scale as 2^n.
-DEFAULT_MAX_DIMENSION = 8
-_max_dimension = DEFAULT_MAX_DIMENSION
+MAX_DIMENSION = 8
 
 #: Coordinates closer to the real axis than this are rejected as on-the-cut.
 MIN_IMAG = 1e-300
-
-
-def set_max_dimension(n: int) -> None:
-    """Raise or lower the dimension ceiling (default 8)."""
-    global _max_dimension
-    if n < 1:
-        raise InvalidArgumentError("max dimension must be >= 1")
-    _max_dimension = n
-
-
-def max_dimension() -> int:
-    return _max_dimension
-
-
-IndexSet = frozenset
-"""A subset of {1, ..., n}, 1-based."""
 
 
 def validate_index_set(members: frozenset, n: int) -> frozenset:
@@ -82,9 +67,9 @@ class CutPlanePoint:
         n = len(coords)
         if n < 1:
             raise InvalidPointError("point must have dimension >= 1")
-        if n > _max_dimension:
+        if n > MAX_DIMENSION:
             raise InvalidArgumentError(
-                f"dimension {n} exceeds the configured maximum {_max_dimension}"
+                f"dimension {n} exceeds the maximum {MAX_DIMENSION}"
             )
         for j, c in enumerate(coords):
             if abs(c.imag) < MIN_IMAG:
@@ -126,6 +111,37 @@ def psi_map(B: frozenset, z: Sequence[complex], w: Sequence[complex]) -> tuple:
     return tuple(
         w[j].conjugate() if (j + 1) in B else z[j] for j in range(len(z))
     )
+
+
+def symmetry_sum(f, z: Sequence[complex], within: int | None = None) -> complex:
+    """sum over nonempty B within `within` of (-1)^(|B|+1) conj f(Psi_B(i*1, z)).
+
+    `f` takes a coordinate tuple.  `within` is a bitmask of axes (bit j for
+    coordinate j + 1) and defaults to all of them.  Subsets run in bitmask
+    order, so the floating-point sum is reproducible bit for bit.
+    """
+    n = len(z)
+    if within is None:
+        within = (1 << n) - 1
+    total = 0j
+    for mask in range(1, 1 << n):
+        if mask & ~within:
+            continue
+        refl = tuple(z[j].conjugate() if mask >> j & 1 else 1j for j in range(n))
+        sign = 1.0 if mask.bit_count() & 1 else -1.0
+        total += sign * f(refl).conjugate()
+    return total
+
+
+def alternating_sum(f, z: Sequence[complex]) -> complex:
+    """sum over all B of (-1)^|B| f(Psi_B(z, z)), in bitmask order."""
+    n = len(z)
+    total = 0j
+    for mask in range(1 << n):
+        refl = tuple(z[j].conjugate() if mask >> j & 1 else z[j] for j in range(n))
+        sign = -1.0 if mask.bit_count() & 1 else 1.0
+        total += sign * f(refl)
+    return total
 
 
 def psi_point(B: frozenset, z: CutPlanePoint, w: CutPlanePoint) -> CutPlanePoint:

@@ -46,14 +46,6 @@ from .measures import (
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_line
 
 
-def _axis_weights(mu) -> tuple | None:
-    if isinstance(mu, LebesgueScaled):
-        return (constant_density(mu.c),) + (constant_density(1.0),) * (mu.dim - 1)
-    if isinstance(mu, ProductDensity):
-        return mu.factors
-    return None
-
-
 def _kernel_integral(mu: Measure, zs: tuple, cfg: QuadratureConfig):
     """integral of K_n(z, .) dmu, exploiting measure structure."""
     if isinstance(mu, Atomic):
@@ -70,10 +62,15 @@ def _kernel_integral(mu: Measure, zs: tuple, cfg: QuadratureConfig):
             err += e
         return val, err
 
-    weights = _axis_weights(mu)
-    if weights is not None:
-        ia = math.prod(w.a_integral(z) for z, w in zip(zs, weights))
-        ic = math.prod(w.a_integral(1j) for w in weights)
+    if isinstance(mu, LebesgueScaled):
+        # the axis A-integrals are c*pi (first axis) and pi above the real
+        # axis and 0 below it, so 2 prod A(z_l, .) - prod A(i, .) is +p or -p
+        p = math.prod((mu.c * math.pi,) + (math.pi,) * (mu.dim - 1))
+        return (1j * p if all(z.imag > 0 for z in zs) else -1j * p), 0.0
+
+    if isinstance(mu, ProductDensity):
+        ia = math.prod(w.a_integral(z) for z, w in zip(zs, mu.factors))
+        ic = math.prod(w.a_integral(1j) for w in mu.factors)
         return 1j * (2.0 * ia - ic), 0.0
 
     if isinstance(mu, CurvePushforward):
@@ -162,6 +159,7 @@ class HerglotzTriple:
     mu: Measure
 
     def __post_init__(self):
+        object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
         if any(x < 0 for x in self.b):
             raise InvalidArgumentError("b components must be >= 0")
@@ -389,6 +387,15 @@ def herglotz_imag_lower_bound_probe(f, samples: int = 200, seed: int = 1729) -> 
 # Function descriptor JSON
 
 def function_from_dict(obj: dict, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    try:
+        return _function_from_dict(obj, cfg)
+    except (KeyError, TypeError) as e:
+        raise InvalidArgumentError(
+            f"malformed function descriptor ({type(e).__name__}: {e})"
+        ) from e
+
+
+def _function_from_dict(obj: dict, cfg: QuadratureConfig):
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidArgumentError("function descriptor needs a 'type' field")
     kind = obj["type"]

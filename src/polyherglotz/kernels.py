@@ -13,15 +13,17 @@ independent cross-check.
 Near-real points are accepted; precision then degrades like 1/|Im z_j|,
 which Stieltjes inversion relies on when probing y -> 0+.
 
-`_a_factor`, `_n_factor`, `kernel_k`, `symmetry_sum` and `alternating_sum`
-skip input validation; the hot loops of the measures and functions modules
-call them directly.  The public wrappers below own the input checks.
+`_a_factor`, `_n_factor` and `kernel_k` skip input validation; the hot
+loops of the measures and functions modules call them directly.  The public
+wrappers below own the input checks.  The two kernel sums run through the
+reflection sums of `core`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from . import core
 from .core import CutPlanePoint
 from .errors import InvalidArgumentError, InvalidPointError, PoleError
 
@@ -45,32 +47,6 @@ def kernel_k(zs, ts):
         pa *= _a_factor(z, t)
         pc *= _a_factor(1j, t)
     return 1j * (2.0 * pa - pc)
-
-
-def symmetry_sum(zs, ts):
-    """sum over nonempty B of (-1)^(|B|+1) conj K_n(Psi_B(i*1, z), t)."""
-    n = len(zs)
-    total = 0j
-    for mask in range(1, 1 << n):
-        refl = tuple(
-            zs[j].conjugate() if mask >> j & 1 else 1j for j in range(n)
-        )
-        sign = -1.0 if bin(mask).count("1") % 2 == 0 else 1.0
-        total += sign * kernel_k(refl, ts).conjugate()
-    return total
-
-
-def alternating_sum(zs, ts):
-    """sum over all B of (-1)^|B| K_n(Psi_B(z, z), t)."""
-    n = len(zs)
-    total = 0j
-    for mask in range(1 << n):
-        refl = tuple(
-            zs[j].conjugate() if mask >> j & 1 else zs[j] for j in range(n)
-        )
-        sign = 1.0 if bin(mask).count("1") % 2 == 0 else -1.0
-        total += sign * kernel_k(refl, ts)
-    return total
 
 
 def _coords(z) -> tuple:
@@ -140,7 +116,7 @@ def kernel_symmetry_residual(z, t) -> float:
     """|K_n(z,t) - sum_{B nonempty} (-1)^(|B|+1) conj K_n(Psi_B(i*1, z), t)|."""
     zs = _coords(z)
     t = _check_t(zs, t)
-    return abs(kernel_k(zs, t) - symmetry_sum(zs, t))
+    return abs(kernel_k(zs, t) - core.symmetry_sum(lambda w: kernel_k(w, t), zs))
 
 
 def poisson_alternating_sum(z, t) -> complex:
@@ -148,4 +124,5 @@ def poisson_alternating_sum(z, t) -> complex:
     zs = _coords(z)
     if any(c.imag <= 0 for c in zs):
         raise InvalidArgumentError("alternating sum requires all Im z_j > 0")
-    return alternating_sum(zs, _check_t(zs, t))
+    t = _check_t(zs, t)
+    return core.alternating_sum(lambda w: kernel_k(w, t), zs)

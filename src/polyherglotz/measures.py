@@ -395,6 +395,15 @@ def density_to_dict(d: DensityDescriptor) -> dict:
 
 
 def measure_from_dict(obj: dict) -> Measure:
+    try:
+        return _measure_from_dict(obj)
+    except (KeyError, TypeError) as e:
+        raise InvalidArgumentError(
+            f"malformed measure descriptor ({type(e).__name__}: {e})"
+        ) from e
+
+
+def _measure_from_dict(obj: dict) -> Measure:
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidArgumentError("measure descriptor needs a 'type' field")
     kind = obj["type"]
@@ -423,7 +432,7 @@ def measure_from_dict(obj: dict) -> Measure:
         )
     if kind == "sum":
         _require_fields(obj, {"type", "terms"}, "sum")
-        return MeasureSum(tuple(measure_from_dict(t) for t in obj["terms"]))
+        return MeasureSum(tuple(_measure_from_dict(t) for t in obj["terms"]))
     raise InvalidArgumentError(f"unknown measure type {kind!r}")
 
 

@@ -151,3 +151,18 @@ def test_usage_errors(capsys):
     assert main(["invert", "--fn", "cauchy:lebesgue1", "--phi", "weird1d",
                  "--mode", "classic"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        'cauchy:{type:lebesgue_scaled,c:"x",dimension:2}',
+        "cauchy:{type:atomic,points:5,weights:[1]}",
+        '{"type":"herglotz","a":"x","b":[0,0],'
+        '"measure":{"type":"lebesgue_scaled","c":1,"dimension":2}}',
+        "cauchy:{type:lebesgue_scaled,c:1}",
+    ],
+)
+def test_malformed_descriptor_is_usage_error(fn, capsys):
+    assert main(["eval", "--fn", fn, "--point", "i,i"]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -9,10 +9,14 @@ from polyherglotz import (
     point,
     psi_map,
     psi_point,
-    set_max_dimension,
     signature_of,
 )
-from polyherglotz.core import max_dimension, validate_index_set
+from polyherglotz.core import (
+    MAX_DIMENSION,
+    alternating_sum,
+    symmetry_sum,
+    validate_index_set,
+)
 
 
 def test_point_rejects_real_coordinates():
@@ -28,14 +32,9 @@ def test_point_rejects_empty():
 
 
 def test_dimension_cap():
-    assert max_dimension() == 8
+    assert MAX_DIMENSION == 8
     with pytest.raises(InvalidArgumentError):
         CutPlanePoint((1j,) * 9)
-    set_max_dimension(9)
-    try:
-        CutPlanePoint((1j,) * 9)
-    finally:
-        set_max_dimension(8)
 
 
 def test_signature_and_lower_set():
@@ -132,3 +131,57 @@ def test_psi_map_componentwise(args):
             assert out[j] == z[j].conjugate()
         else:
             assert out[j] == z[j]
+
+
+def _oracle_symmetry_sum(f, z, bprime):
+    ivec = (1j,) * len(z)
+    total = 0j
+    for B in enumerate_subsets(len(z), "subsets_of", bprime):
+        if B:
+            sign = 1.0 if len(B) % 2 == 1 else -1.0
+            total += sign * f(psi_map(B, ivec, z)).conjugate()
+    return total
+
+
+def _oracle_alternating_sum(f, z):
+    total = 0j
+    for B in enumerate_subsets(len(z)):
+        sign = 1.0 if len(B) % 2 == 0 else -1.0
+        total += sign * f(psi_map(B, z, z))
+    return total
+
+
+def _lopsided(w):
+    # not symmetric in its coordinates, so a permuted axis order shows
+    p = 1.0 + 0j
+    for c in w:
+        p *= c
+    return sum((k + 1) * c for k, c in enumerate(w)) + p
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.complex_numbers(
+                    min_magnitude=0.01, max_magnitude=10, allow_nan=False
+                ).filter(lambda c: abs(c.imag) > 1e-6),
+                min_size=n,
+                max_size=n,
+            ),
+            st.integers(0, (1 << n) - 1),
+        )
+    )
+)
+def test_reflection_sums_match_subset_oracle(args):
+    zs, within = args
+    z = tuple(zs)
+    n = len(z)
+    bprime = frozenset(j + 1 for j in range(n) if within >> j & 1)
+    assert symmetry_sum(_lopsided, z, within) == _oracle_symmetry_sum(
+        _lopsided, z, bprime
+    )
+    assert symmetry_sum(_lopsided, z) == _oracle_symmetry_sum(
+        _lopsided, z, frozenset(range(1, n + 1))
+    )
+    assert alternating_sum(_lopsided, z) == _oracle_alternating_sum(_lopsided, z)

@@ -16,15 +16,8 @@ import sys
 from . import analysis
 from .core import CutPlanePoint
 from .errors import PolyherglotzError
-from .functions import (
-    CauchyTypeFunction,
-    HerglotzFunction,
-    HerglotzTriple,
-    MU2,
-    catalogue,
-    function_from_dict,
-)
-from .measures import Atomic, LebesgueScaled, measure_from_dict
+from .functions import catalogue, function_from_dict
+from .measures import MU2, measure_from_dict, measure_to_dict
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 DEFAULT_SEED = 1729
@@ -80,31 +73,41 @@ def parse_function(text: str, cfg: QuadratureConfig = DEFAULT_CONFIG):
             return function_from_dict(json.load(fh), cfg)
     if text.startswith("{"):
         return function_from_dict(_relaxed_json(text), cfg)
+    return function_from_dict(_shorthand_descriptor(text), cfg)
+
+
+def _shorthand_descriptor(text: str) -> dict:
+    """The JSON function descriptor that a catalogue:, cauchy: or herglotz:
+    shorthand stands for."""
     if ":" not in text:
         raise ValueError(f"bad function descriptor {text!r}")
     kind, _, rest = text.partition(":")
     if kind == "catalogue":
-        return function_from_dict({"type": "catalogue", "id": rest}, cfg)
+        return {"type": "catalogue", "id": rest}
     if kind == "cauchy":
         if rest.startswith("{"):
-            mu = measure_from_dict(_relaxed_json(rest))
+            mu = _relaxed_json(rest)
         elif rest == "mu2":
-            mu = MU2
+            mu = measure_to_dict(MU2)
         elif rest.startswith("lebesgue"):
-            mu = LebesgueScaled(1.0, int(rest[len("lebesgue") :]))
+            dim = int(rest[len("lebesgue") :])
+            mu = {"type": "lebesgue_scaled", "c": 1.0, "dimension": dim}
         else:
             raise ValueError(f"unknown cauchy measure shorthand {rest!r}")
-        return CauchyTypeFunction(mu, cfg)
+        return {"type": "cauchy", "measure": mu}
     if kind == "herglotz":
         obj = _relaxed_json(rest)
-        b = tuple(float(x) for x in obj.get("b", ()))
-        mu = obj.get("mu", "zero")
+        if not isinstance(obj, dict):
+            raise ValueError(f"herglotz shorthand needs {{...}}, got {rest!r}")
+        b = obj.pop("b", [])
+        if not isinstance(b, list):
+            raise ValueError(f"herglotz b must be a list, got {b!r}")
+        mu = obj.pop("mu", "zero")
         if mu == "zero":
-            mu = Atomic((), (), dim=len(b) if b else 1)
-        else:
-            mu = measure_from_dict(mu)
-        triple = HerglotzTriple(float(obj.get("a", 0.0)), b or (0.0,) * mu.dimension, mu)
-        return HerglotzFunction(triple, cfg)
+            mu = {"type": "atomic", "points": [], "weights": [], "dimension": len(b) or 1}
+        if not b:
+            b = [0.0] * measure_from_dict(mu).dimension
+        return {"type": "herglotz", "a": 0.0, **obj, "b": b, "measure": mu}
     raise ValueError(f"unknown function descriptor kind {kind!r}")
 
 

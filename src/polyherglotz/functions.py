@@ -6,11 +6,12 @@ functions given by a representing triple (a, b, mu) and extended
 symmetrically to the whole cut-plane, and the closed-form two-variable
 example catalogue f0..f7.
 
-The kernel integral of a product-structured measure factorizes axis by
-axis through K_n = i(2 prod A(z_l, t_l) - prod A(i, t_l)), so each
-evaluation costs 2n closed-form weighted A-integrals
-(`DensityDescriptor.a_integral`) instead of one n-dimensional quadrature.
-Atomic measures are summed exactly; curve measures keep a line quadrature.
+A Cauchy-type function integrates K_n = i(2 prod A(z_l, t_l) - prod A(i, t_l))
+against its measure.  A(z, .) is the pole pair (z, -i), so both products
+are `measures.pair_integral`s; the second does not depend on z and is
+computed once, at construction.  Product measures are thereby exact,
+atomic measures are summed, and curve measures take one line quadrature
+per evaluation.
 """
 
 from __future__ import annotations
@@ -19,17 +20,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import CutPlanePoint
-from .errors import (
-    InvalidArgumentError,
-    InvalidMeasureError,
-    UnknownCatalogueIdError,
-)
-from .kernels import kernel_k
+from .errors import InvalidArgumentError, UnknownCatalogueIdError
 from .measures import (
     MU2,
     Atomic,
@@ -39,52 +34,11 @@ from .measures import (
     Measure,
     MeasureSum,
     ProductDensity,
-    check_growth,
     constant_density,
     measure_from_dict,
+    pair_integral,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_line
-
-
-def _kernel_integral(mu: Measure, zs: tuple, cfg: QuadratureConfig):
-    """integral of K_n(z, .) dmu, exploiting measure structure."""
-    if isinstance(mu, Atomic):
-        val = sum(
-            (w * kernel_k(zs, p) for p, w in zip(mu.points, mu.weights)), 0j
-        )
-        return val, 0.0
-
-    if isinstance(mu, MeasureSum):
-        val, err = 0j, 0.0
-        for term in mu.terms:
-            v, e = _kernel_integral(term, zs, cfg)
-            val += v
-            err += e
-        return val, err
-
-    if isinstance(mu, LebesgueScaled):
-        # the axis A-integrals are c*pi (first axis) and pi above the real
-        # axis and 0 below it, so 2 prod A(z_l, .) - prod A(i, .) is +p or -p
-        p = math.prod((mu.c * math.pi,) + (math.pi,) * (mu.dim - 1))
-        return (1j * p if all(z.imag > 0 for z in zs) else -1j * p), 0.0
-
-    if isinstance(mu, ProductDensity):
-        ia = math.prod(w.a_integral(z) for z, w in zip(zs, mu.factors))
-        ic = math.prod(w.a_integral(1j) for w in mu.factors)
-        return 1j * (2.0 * ia - ic), 0.0
-
-    if isinstance(mu, CurvePushforward):
-        hints = [
-            (z.real - b) / a for z, a, b in zip(zs, mu.alpha, mu.beta) if a != 0.0
-        ]
-        val, err = integrate_line(
-            lambda s: kernel_k(zs, mu.at(s)) * mu.weight(s),
-            cfg,
-            singularities=hints,
-        )
-        return mu.scale * val, mu.scale * err
-
-    raise InvalidArgumentError(f"unknown measure variant {type(mu).__name__}")
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 
 def _boundary_hints(mu: Measure, prefix: tuple):
@@ -112,32 +66,28 @@ def _boundary_hints(mu: Measure, prefix: tuple):
     return []  # absolutely continuous with smooth density
 
 
-@lru_cache(maxsize=1024)
-def _growth(mu: Measure, cfg: QuadratureConfig):
-    return check_growth(mu, cfg)
-
-
-def _require_growth(mu: Measure, cfg: QuadratureConfig) -> None:
-    if not _growth(mu, cfg).finite:
-        raise InvalidMeasureError("measure fails the growth condition")
-
-
 class CauchyTypeFunction:
     """g(z) = (1/pi^n) integral K_n(z, t) dmu(t) on the whole cut-plane."""
 
     def __init__(self, measure: Measure, config: QuadratureConfig = DEFAULT_CONFIG):
-        _require_growth(measure, config)
         self.measure = measure
         self.config = config
         self.dimension = measure.dimension
         self._prefactor = 1.0 / math.pi**self.dimension
+        # integral of prod A(i, t_l) dmu, the growth integral
+        self._growth, self._growth_err = pair_integral(
+            measure, [(1j, -1j)] * self.dimension, config
+        )
 
     def evaluate(self, z) -> tuple:
         zs = z.coords if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z)).coords
         if len(zs) != self.dimension:
             raise InvalidArgumentError("point dimension does not match measure")
-        val, err = _kernel_integral(self.measure, zs, self.config)
-        return self._prefactor * val, self._prefactor * err
+        val, err = pair_integral(self.measure, [(c, -1j) for c in zs], self.config)
+        return (
+            self._prefactor * (1j * (2.0 * val - self._growth)),
+            self._prefactor * (2.0 * err + self._growth_err),
+        )
 
     def __call__(self, z) -> complex:
         return self.evaluate(z)[0]

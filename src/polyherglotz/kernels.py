@@ -13,10 +13,12 @@ independent cross-check.
 Near-real points are accepted; precision then degrades like 1/|Im z_j|,
 which Stieltjes inversion relies on when probing y -> 0+.
 
-`_a_factor`, `_n_factor` and `kernel_k` skip input validation; the hot
-loops of the measures and functions modules call them directly.  The public
-wrappers below own the input checks.  The two kernel sums run through the
-reflection sums of `core`.
+Every one-variable factor is a pole pair
+pair(p, q)(t) = (1/2i)(1/(t-p) - 1/(t-q)) (`_pair`): A(z, .) is (z, -i), the
+growth weight 1/(1+t^2) is (i, -i), and `_n_pairs` tabulates the N_rho.
+`_pair` and `kernel_k` skip input validation; the public wrappers below own
+the input checks.  The two kernel sums run through the reflection sums of
+`core`.
 """
 
 from __future__ import annotations
@@ -28,24 +30,21 @@ from .core import CutPlanePoint
 from .errors import InvalidArgumentError, InvalidPointError, PoleError
 
 
-def _a_factor(z, t):
-    return (1.0 / (t - z) - 1.0 / (t + 1j)) / 2j
+def _pair(p, q, t):
+    return (1.0 / (t - p) - 1.0 / (t - q)) / 2j
 
 
-def _n_factor(rho, z, t):
-    if rho == -1:
-        return (1.0 / (t - z) - 1.0 / (t - 1j)) / 2j
-    if rho == 0:
-        return (1.0 / (t - 1j) - 1.0 / (t + 1j)) / 2j
-    return (1.0 / (t + 1j) - 1.0 / (t - z.conjugate())) / 2j
+def _n_pairs(z):
+    """The pole pairs of N_-1, N_0 and N_1 at z, in that order."""
+    return ((z, 1j), (1j, -1j), (-1j, z.conjugate()))
 
 
 def kernel_k(zs, ts):
     pa = 1.0 + 0j
     pc = 1.0 + 0j
     for z, t in zip(zs, ts):
-        pa *= _a_factor(z, t)
-        pc *= _a_factor(1j, t)
+        pa *= _pair(z, -1j, t)
+        pc *= _pair(1j, -1j, t)
     return 1j * (2.0 * pa - pc)
 
 
@@ -89,7 +88,7 @@ def n_factor(rho: int, z: complex, t: float) -> complex:
     z = complex(z)
     if z.imag == 0.0:
         raise InvalidPointError("z must be nonreal")
-    return _n_factor(rho, z, float(t))
+    return _pair(*_n_pairs(z)[rho + 1], float(t))
 
 
 def a_factor(z: complex, t: float) -> complex:
@@ -98,7 +97,7 @@ def a_factor(z: complex, t: float) -> complex:
     t = float(t)
     if z.imag == 0.0 and t == z.real:
         raise PoleError(f"A(z, t) has a pole at t = z = {t}")
-    return _a_factor(z, t)
+    return _pair(z, -1j, t)
 
 
 def poisson(z, t) -> float:

@@ -83,7 +83,6 @@ def integrate_rn(
     n: int,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     hints: Callable[[tuple], Sequence[float]] | None = None,
-    strict: bool = False,
 ):
     """Iterated quadrature of f over R^n.
 
@@ -93,9 +92,7 @@ def integrate_rn(
     tolerances.
     """
     if n == 1:
-        return integrate_line(
-            lambda t: f((t,)), cfg, hints(()) if hints else (), strict
-        )
+        return integrate_line(lambda t: f((t,)), cfg, hints(()) if hints else ())
 
     def level(prefix: tuple):
         axis = len(prefix)
@@ -104,11 +101,6 @@ def integrate_rn(
             g = lambda t: f(prefix + (t,))
         else:
             g = lambda t: level(prefix + (t,))[0]
-        return integrate_line(g, cfg, sing, strict=False)
+        return integrate_line(g, cfg, sing)
 
-    val, err = level(())
-    if strict and err > max(cfg.abs_tol, cfg.rel_tol * abs(val)) * 10:
-        raise AccuracyError(
-            f"quadrature error {err:.3e} exceeds tolerance", val, err
-        )
-    return val, err
+    return level(())

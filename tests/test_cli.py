@@ -161,6 +161,7 @@ def test_usage_errors(capsys):
         '{"type":"herglotz","a":"x","b":[0,0],'
         '"measure":{"type":"lebesgue_scaled","c":1,"dimension":2}}',
         "cauchy:{type:lebesgue_scaled,c:1}",
+        "herglotz:{a:1,b:5}",
     ],
 )
 def test_malformed_descriptor_is_usage_error(fn, capsys):

@@ -1,0 +1,140 @@
+"""The pole-pair integral against quadrature oracles and closed forms."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from polyherglotz import (
+    MU2,
+    CauchyTypeFunction,
+    CurvePushforward,
+    F4_NEVANLINNA_MEASURE,
+    LebesgueScaled,
+    catalogue,
+    check_growth,
+    integrate,
+    nevanlinna_residual,
+    point,
+)
+from polyherglotz.cli import main
+from polyherglotz.measures import (
+    cauchy_weight,
+    constant_density,
+    gaussian_density,
+    pair_integral,
+    rational_density,
+)
+from polyherglotz.quadrature import integrate_line
+
+
+def pair(p, q, t):
+    return (1.0 / (t - p) - 1.0 / (t - q)) / 2j
+
+
+def pairs_at(z):
+    """The pairs of A(z, .), N_-1, N_0 = the growth weight, and N_1."""
+    return ((z, -1j), (z, 1j), (1j, -1j), (-1j, z.conjugate()))
+
+
+densities = st.one_of(
+    st.floats(0.0, 5.0).map(constant_density),
+    st.just(cauchy_weight()),
+    st.just(rational_density("cauchy_squared")),
+    st.builds(gaussian_density, st.floats(-3.0, 3.0), st.floats(0.2, 3.0)),
+)
+
+
+def z_with_im(lo, hi):
+    """|Im z| log-uniform in [lo, hi] on either side of the real axis."""
+    return st.builds(
+        lambda x, log_y, sign: complex(x, sign * math.exp(log_y)),
+        st.floats(-5.0, 5.0),
+        st.floats(math.log(lo), math.log(hi)),
+        st.sampled_from((-1.0, 1.0)),
+    )
+
+
+# points within 1e-6 of the removable singularity at i and the zero at -i
+near_i_z = st.builds(
+    lambda anchor, dx, dy: anchor + complex(dx, dy),
+    st.sampled_from((1j, -1j)),
+    st.floats(-1e-6, 1e-6),
+    st.floats(-1e-6, 1e-6),
+)
+
+
+@settings(deadline=None)
+@given(densities, st.one_of(z_with_im(1e-3, 10.0), near_i_z), st.integers(0, 3))
+def test_density_pair_integral_matches_quadrature(w, z, k):
+    p, q = pairs_at(z)[k]
+    val, err = integrate_line(
+        lambda t: pair(p, q, t) * w(t), singularities=[p.real, q.real]
+    )
+    assert abs(w.pair_integral(p, q) - val) <= err + 1e-10
+
+
+@st.composite
+def curves(draw):
+    n = draw(st.integers(1, 3))
+    alpha = draw(
+        st.lists(st.sampled_from((0.0, 1.0, -1.0, 0.5, -2.0, 3.0)), min_size=n, max_size=n)
+    )
+    if not any(alpha):
+        alpha[draw(st.integers(0, n - 1))] = draw(st.sampled_from((1.0, -0.5)))
+    beta = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    weight = draw(densities)
+    mu = CurvePushforward(tuple(alpha), tuple(beta), weight, draw(st.floats(0.1, 4.0)))
+    pairs = [
+        pairs_at(draw(z_with_im(1e-2, 5.0)))[draw(st.integers(0, 3))] for _ in range(n)
+    ]
+    return mu, pairs
+
+
+@settings(deadline=None)
+@given(curves())
+def test_curve_pair_integral_matches_integrate(case):
+    mu, pairs = case
+    want, want_err = integrate(
+        mu, lambda t: math.prod(pair(p, q, x) for (p, q), x in zip(pairs, t))
+    )
+    got, err = pair_integral(mu, pairs)
+    assert abs(got - want) <= err + want_err + 1e-10
+
+
+def test_mu2_cauchy_function_matches_f2():
+    g, f2 = CauchyTypeFunction(MU2), catalogue("f2")
+    rng = np.random.default_rng(20261018)
+    for lo, hi in ((1e-3, 1e-2), (1e-2, 1e-1), (1e-1, 1.0), (1.0, 5.0)):
+        worst = 0.0
+        for _ in range(100):
+            z = point(*(
+                complex(
+                    rng.uniform(-5, 5),
+                    rng.choice([-1, 1]) * math.exp(rng.uniform(math.log(lo), math.log(hi))),
+                )
+                for _ in range(2)
+            ))
+            worst = max(worst, abs(g(z) - f2(z)))
+        assert worst < 1e-10, (lo, hi, worst)
+
+
+def test_product_measure_residuals_vanish_exactly():
+    pts = [(1j, 1j), (0.5 + 1j, 2j), (-1 + 0.3j, 1 + 0.2j), (2 + 2j, -0.5 + 0.7j),
+           (0.1 + 0.9j, 3 + 0.4j)]
+    for mu in (LebesgueScaled(1.0, 2), F4_NEVANLINNA_MEASURE):
+        for p in pts:
+            assert nevanlinna_residual(mu, point(*p)) == 0.0
+
+
+def test_lebesgue_growth_is_exact():
+    for c in (0.3, 1.0, 4.5, 5.0):
+        for n in (1, 2, 3):
+            want = c * math.pi**n
+            assert abs(check_growth(LebesgueScaled(c, n)).value - want) <= 1e-15 * want
+
+
+def test_characterize_lebesgue2_seed8_passes():
+    # the quadrature error of the A-integrals used to push the symmetry
+    # residual to 2.1e-9 here, over the 1e-9 tolerance
+    assert main(["check", "characterize", "--fn", "cauchy:lebesgue2", "--seed", "8"]) == 0

@@ -36,9 +36,13 @@ class LimitConfig:
         if not 0 < self.stoltz_angle <= math.pi / 2:
             raise InvalidArgumentError("stoltz angle must lie in (0, pi/2]")
         r = self.radius_sequence
+        if not all(v > 0 for v in r):
+            raise InvalidArgumentError("radii must be positive")
         if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
             raise InvalidArgumentError("radius sequence must increase")
         y = self.y_sequence
+        if not all(v > 0 for v in y):
+            raise InvalidArgumentError("y steps must be positive")
         if any(y[i] <= y[i + 1] for i in range(len(y) - 1)):
             raise InvalidArgumentError("y sequence must decrease")
 

@@ -85,7 +85,7 @@ class CutPlanePoint:
         return ComponentSignature(tuple(1 if c.imag > 0 else -1 for c in self.coords))
 
     def is_upper(self) -> bool:
-        return self.signature().is_upper()
+        return all(c.imag > 0 for c in self.coords)
 
 
 def point(*coords) -> CutPlanePoint:

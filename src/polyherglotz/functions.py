@@ -171,10 +171,11 @@ class ClosedFormFunction:
             raise InvalidArgumentError(
                 f"{self.name} is defined in dimension {self.dimension}"
             )
-        branch = self.branches.get(p.signature().signs)
+        signs = tuple(1 if c.imag > 0 else -1 for c in p.coords)
+        branch = self.branches.get(signs)
         if branch is None:
             raise InvalidArgumentError(
-                f"{self.name} has no branch for component {p.signature().signs}"
+                f"{self.name} has no branch for component {signs}"
             )
         return branch(*p.coords)
 

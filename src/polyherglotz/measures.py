@@ -285,7 +285,14 @@ def integrate(
 
     if isinstance(mu, ProductDensity):
         n = mu.dimension
-        fw = lambda t: f(t) * math.prod(w(x) for w, x in zip(mu.factors, t))
+        factors = mu.factors
+
+        def fw(t):
+            p = 1.0
+            for w, x in zip(factors, t):
+                p *= w(x)
+            return f(t) * p
+
         for label, g in _axis_profiles(fw, n):
             _check_decay(g, label)
         return integrate_rn(fw, n, cfg, hints)

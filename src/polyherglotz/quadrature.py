@@ -5,13 +5,19 @@ the substitution renders the transformed integrand bounded on the open
 interval (-pi/2, pi/2).  Dimensions n >= 2 are handled by iterated
 (axis-by-axis) adaptive quadrature; callers may supply per-axis hints for
 near-axis spikes (e.g. poles approaching the real axis as y -> 0+).
+
+Every inner level of the iterated quadrature runs at 1/100 of the caller's
+tolerances and only the outermost level at the caller's own: an inner error
+of the outer tolerance's size would reach the outer integrand as noise,
+which the outer adaptive rule then subdivides to chase.  The reported error
+is still the outermost estimate only.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from scipy.integrate import IntegrationWarning, quad
@@ -33,6 +39,9 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+
+#: Inner levels of `integrate_rn` run at this fraction of the tolerances.
+_INNER_TOL_FACTOR = 1e-2
 
 
 def integrate_line(
@@ -87,12 +96,19 @@ def integrate_rn(
     """Iterated quadrature of f over R^n.
 
     `hints(prefix)` may return spike locations for the axis following the
-    already-fixed coordinates `prefix`.  The reported error is the outermost
-    quadrature estimate only; inner errors are controlled by the same
-    tolerances.
+    already-fixed coordinates `prefix`.  The outermost axis runs at `cfg`'s
+    tolerances and every inner axis at 1/100 of them, so that inner errors
+    stay well below what the outer rule resolves.  The reported error is
+    the outermost quadrature estimate only.
     """
     if n == 1:
         return integrate_line(lambda t: f((t,)), cfg, hints(()) if hints else ())
+
+    inner = replace(
+        cfg,
+        abs_tol=cfg.abs_tol * _INNER_TOL_FACTOR,
+        rel_tol=cfg.rel_tol * _INNER_TOL_FACTOR,
+    )
 
     def level(prefix: tuple):
         axis = len(prefix)
@@ -101,6 +117,6 @@ def integrate_rn(
             g = lambda t: f(prefix + (t,))
         else:
             g = lambda t: level(prefix + (t,))[0]
-        return integrate_line(g, cfg, sing)
+        return integrate_line(g, inner if axis else cfg, sing)
 
     return level(())

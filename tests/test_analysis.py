@@ -29,6 +29,7 @@ from polyherglotz import (
     symmetry_check,
     symmetry_residual,
 )
+from polyherglotz import analysis
 from polyherglotz.analysis import _spot_check_bound
 from conftest import random_cut_point
 
@@ -49,6 +50,20 @@ def test_limit_config_validation():
         LimitConfig(radius_sequence=(4.0, 2.0))
     with pytest.raises(InvalidArgumentError):
         LimitConfig(y_sequence=(0.1, 0.2))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"y_sequence": (0.5, 0.25, -0.25)},
+        {"y_sequence": (0.5, 0.25, 0.0)},
+        {"radius_sequence": (-4.0, -2.0, 1.0)},
+        {"radius_sequence": (0.0, 2.0, 4.0)},
+    ],
+)
+def test_limit_config_rejects_nonpositive_steps(kwargs):
+    with pytest.raises(InvalidArgumentError):
+        LimitConfig(**kwargs)
 
 
 # --- symmetry --------------------------------------------------------------
@@ -249,3 +264,26 @@ def test_inversion_result_serializable():
     g = CauchyTypeFunction(LebesgueScaled(1.0, 1))
     res = stieltjes_cauchy_type(g, phi_cauchy(1))
     json.dumps(res.to_dict())
+
+
+def test_stieltjes_f2_rows_near_exact(monkeypatch):
+    # the alternating boundary sum of a Cauchy-type function is the Poisson
+    # integral of its measure, so against phi_cauchy(2) the f2 row at y is
+    # the MU2 integral of prod (1+y)/(t^2+(1+y)^2), that is pi^2/(2(1+y))
+    calls = {}
+    boundary_sum = analysis.alternating_boundary_sum
+
+    def counting(g, x, y):
+        calls[y] = calls.get(y, 0) + 1
+        return boundary_sum(g, x, y)
+
+    monkeypatch.setattr(analysis, "alternating_boundary_sum", counting)
+    ladder = (2.0**-5, 2.0**-6, 2.0**-7)
+    res = stieltjes_cauchy_type(
+        catalogue("f2"), phi_cauchy(2), LimitConfig(y_sequence=ladder)
+    )
+    for y, raw, _ in res.rows:
+        assert abs(raw - PI * PI / (2.0 * (1.0 + y))) < 5e-7, y
+    # inner levels at the outer tolerance feed the outer axis noise that it
+    # subdivides to chase: 651k boundary values at this step
+    assert calls[2.0**-6] < 150_000

@@ -78,6 +78,22 @@ def test_mu2_growth_and_phi_integral():
     assert abs(val - PI * PI / 2) < 1e-9
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the inner axis misses the ridge x2 = x1 far out while the outer "
+    "error estimate stays near 1e-9",
+)
+def test_lebesgue_diagonal_ridge_within_reported_error():
+    # integral of exp(-(x1-x2)^2) / ((1+x1^2)(1+x2^2)) over R^2 is
+    # pi^2 e^4 erfc(2)
+    def phi_diagonal(x):
+        return math.exp(-((x[0] - x[1]) ** 2)) / ((1 + x[0] ** 2) * (1 + x[1] ** 2))
+
+    exact = 2.520654290933361
+    val, err = integrate(LebesgueScaled(1.0, 2), phi_diagonal)
+    assert abs(val.real - exact) <= 10 * err
+
+
 def test_product_density_cauchy():
     mu = ProductDensity((cauchy_weight(), cauchy_weight()))
     val, _ = integrate(mu, lambda x: 1.0)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from polyherglotz import AccuracyError, QuadratureConfig
+from polyherglotz import AccuracyError, QuadratureConfig, quadrature
 from polyherglotz.quadrature import integrate_line, integrate_rn
 
 PI = math.pi
@@ -46,6 +46,27 @@ def test_integrate_rn_hints_per_axis():
     val, _ = integrate_rn(f, 2, hints=hints)
     # as y -> 0 this tends to pi * integral (1+t^2)^-2 dt = pi^2/2
     assert abs(val - PI * PI / 2) < 0.01
+
+
+def test_integrate_rn_inner_levels_run_tighter(monkeypatch):
+    # only the outermost axis runs at the caller's tolerances
+    seen = []
+    line = quadrature.integrate_line
+
+    def recording(g, cfg, sing=()):
+        seen.append(cfg)
+        return line(g, cfg, sing)
+
+    monkeypatch.setattr(quadrature, "integrate_line", recording)
+    cfg = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-5)
+    val, _ = integrate_rn(lambda x: 1.0 / ((1 + x[0] ** 2) * (1 + x[1] ** 2)), 2, cfg)
+    assert abs(val - PI * PI) < 1e-5
+    outer, *inner = seen
+    assert outer == cfg
+    assert inner and all(
+        c.abs_tol == pytest.approx(1e-8) and c.rel_tol == pytest.approx(1e-7)
+        for c in inner
+    )
 
 
 def test_strict_accuracy_error():

@@ -10,7 +10,10 @@ Nevanlinna checker's error analysis stays tractable.
 The kernel integral, the Nevanlinna residual and the growth integral are
 all integrals of products of pole pairs (see `kernels`), which
 `pair_integral` computes; `integrate` is adaptive quadrature for arbitrary
-integrands.
+integrands.  `integrate` takes one iterated quadrature for all the
+absolutely continuous terms of a sum (scaled Lebesgue and product
+densities), and the Nevanlinna residual of a curve sums all of its
+pole-pair products under one line quadrature.
 """
 
 from __future__ import annotations
@@ -253,6 +256,63 @@ def _axis_profiles(f, n):
     return profiles
 
 
+def _flat_terms(mu: MeasureSum):
+    for term in mu.terms:
+        if isinstance(term, MeasureSum):
+            yield from _flat_terms(term)
+        else:
+            yield term
+
+
+def _has_density(mu: Measure) -> bool:
+    """Whether `integrate` merges this sum term into the density quadrature.
+
+    A scaled Lebesgue measure with c = 0 stays out: alone it integrates to
+    0 without a decay check.
+    """
+    return isinstance(mu, ProductDensity) or (isinstance(mu, LebesgueScaled) and mu.c != 0.0)
+
+
+def _density_product(factors, t) -> float:
+    p = 1.0
+    for w, x in zip(factors, t):
+        p *= w(x)
+    return p
+
+
+def _checked_integrand(mu: Measure, f):
+    """f times the density of a product-density term, or f itself for a
+    scaled Lebesgue term (whose scale the caller applies); raises
+    DivergenceError when its profiles do not decay."""
+    if isinstance(mu, LebesgueScaled):
+        g = f
+    else:
+        g = lambda t: f(t) * _density_product(mu.factors, t)
+    for label, h in _axis_profiles(g, mu.dimension):
+        _check_decay(h, label)
+    return g
+
+
+def _integrate_densities(terms: list, f, cfg: QuadratureConfig, hints):
+    """integral of f against a sum of scaled Lebesgue and product-density
+    terms as one quadrature of f times the sum of their densities."""
+    c, products = 0.0, []
+    for term in terms:
+        _checked_integrand(term, f)
+        if isinstance(term, LebesgueScaled):
+            c += term.c
+        else:
+            products.append(term.factors)
+
+    def fw(t):
+        d = c
+        for factors in products:
+            d += _density_product(factors, t)
+        return f(t) * d
+
+    return integrate_rn(fw, terms[0].dimension, cfg, hints)
+
+
 def integrate(
     mu: Measure,
     f: Callable[[tuple], complex],
@@ -262,14 +322,24 @@ def integrate(
     """integral of f dmu.  Returns (value, error_estimate).
 
     Atomic measures are summed exactly; everything else goes through
-    adaptive quadrature on the tan-compactified axes.
+    adaptive quadrature on the tan-compactified axes.  A sum is flattened,
+    and when it has two or more absolutely continuous terms (scaled
+    Lebesgue with c > 0, product densities) they are integrated as one
+    quadrature of f times the sum of their densities; atoms and curves
+    keep their own paths.  Every term's integrand is checked for decay as
+    if it were integrated alone.
     """
     if isinstance(mu, Atomic):
         return sum((w * f(p) for p, w in zip(mu.points, mu.weights)), 0j), 0.0
 
     if isinstance(mu, MeasureSum):
+        terms = list(_flat_terms(mu))
+        dense = [t for t in terms if _has_density(t)]
         val, err = 0j, 0.0
-        for term in mu.terms:
+        if len(dense) > 1:
+            val, err = _integrate_densities(dense, f, cfg, hints)
+            terms = [t for t in terms if not _has_density(t)]
+        for term in terms:
             v, e = integrate(term, f, cfg, hints)
             val += v
             err += e
@@ -278,24 +348,11 @@ def integrate(
     if isinstance(mu, LebesgueScaled):
         if mu.c == 0.0:
             return 0j, 0.0
-        for label, g in _axis_profiles(f, mu.dimension):
-            _check_decay(g, label)
-        val, err = integrate_rn(f, mu.dimension, cfg, hints)
+        val, err = integrate_rn(_checked_integrand(mu, f), mu.dimension, cfg, hints)
         return mu.c * val, mu.c * err
 
     if isinstance(mu, ProductDensity):
-        n = mu.dimension
-        factors = mu.factors
-
-        def fw(t):
-            p = 1.0
-            for w, x in zip(factors, t):
-                p *= w(x)
-            return f(t) * p
-
-        for label, g in _axis_profiles(fw, n):
-            _check_decay(g, label)
-        return integrate_rn(fw, n, cfg, hints)
+        return integrate_rn(_checked_integrand(mu, f), mu.dimension, cfg, hints)
 
     if isinstance(mu, CurvePushforward):
         if mu.scale == 0.0:
@@ -349,17 +406,7 @@ def pair_integral(
         return val, err
 
     if isinstance(mu, CurvePushforward):
-        # with t = alpha*s + beta, an axis with alpha = 0 is the constant
-        # pair(p, q)(beta); any other is (1/(s-p') - 1/(s-q'))/(2i*alpha)
-        # with p' = (p - beta)/alpha
-        const = mu.scale
-        poles = []
-        for (p, q), a, b in zip(pairs, mu.alpha, mu.beta):
-            if a == 0.0:
-                const *= _pair(p, q, b)
-            else:
-                const /= 2j * a
-                poles.append(((p - b) / a, (q - b) / a))
+        const, poles = _curve_poles(mu, pairs)
 
         def g(s):
             v = mu.weight(s)
@@ -367,11 +414,33 @@ def pair_integral(
                 v *= 1.0 / (s - p) - 1.0 / (s - q)
             return v
 
-        hints = [r.real for pq in poles for r in pq if abs(r.imag) < _HINT_IM]
-        val, err = integrate_line(g, cfg, singularities=hints)
+        val, err = integrate_line(g, cfg, singularities=_near_axis(poles))
         return const * val, abs(const) * err
 
     raise InvalidArgumentError(f"unknown measure variant {type(mu).__name__}")
+
+
+def _curve_poles(mu: CurvePushforward, pairs: Sequence[tuple]):
+    """(const, poles) with prod_l pair(p_l, q_l)(t_l) dmu =
+    const * prod_k (1/(s-p'_k) - 1/(s-q'_k)) * weight(s) ds.
+
+    With t = alpha*s + beta, an axis with alpha = 0 is the constant
+    pair(p, q)(beta); any other is (1/(s-p') - 1/(s-q'))/(2i*alpha) with
+    p' = (p - beta)/alpha.
+    """
+    const = mu.scale
+    poles = []
+    for (p, q), a, b in zip(pairs, mu.alpha, mu.beta):
+        if a == 0.0:
+            const *= _pair(p, q, b)
+        else:
+            const /= 2j * a
+            poles.append(((p - b) / a, (q - b) / a))
+    return const, poles
+
+
+def _near_axis(poles) -> list:
+    return [r.real for pq in poles for r in pq if abs(r.imag) < _HINT_IM]
 
 
 @dataclass(frozen=True)
@@ -399,7 +468,12 @@ def nevanlinna_residual(
     """The rho-indexed N-factor sum whose vanishing (for all z in C+^n)
     characterizes representing measures.
 
-    For n = 1 the index set is empty and the residual is exactly 0.
+    The sum runs over every rho in {-1, 0, 1}^n containing both -1 and 1,
+    of the integral of prod_l N_rho_l(z_l, t_l) dmu.  A curve term integrates
+    the whole sum as one line quadrature in its parameter; every other
+    term sums `pair_integral` rho by rho, so product measures give an exact
+    residual.  For n = 1 the index set is empty and the residual is
+    exactly 0.
     """
     if not isinstance(z, CutPlanePoint):
         z = CutPlanePoint(tuple(z))
@@ -409,11 +483,35 @@ def nevanlinna_residual(
     if mu.dimension != n:
         raise InvalidArgumentError("measure and point dimensions differ")
     tables = [_n_pairs(c) for c in z.coords]
-    total = 0j
-    for rho in itertools.product((-1, 0, 1), repeat=n):
-        if -1 in rho and 1 in rho:
-            total += pair_integral(mu, [tab[r + 1] for tab, r in zip(tables, rho)], cfg)[0]
-    return total
+    products = [
+        [tab[r + 1] for tab, r in zip(tables, rho)]
+        for rho in itertools.product((-1, 0, 1), repeat=n)
+        if -1 in rho and 1 in rho
+    ]
+    return _residual(mu, products, cfg) if products else 0j
+
+
+def _residual(mu: Measure, products: list, cfg: QuadratureConfig) -> complex:
+    """sum over `products` of the integral of each pole-pair product dmu."""
+    if isinstance(mu, MeasureSum):
+        return sum((_residual(term, products, cfg) for term in mu.terms), 0j)
+
+    if isinstance(mu, CurvePushforward):
+        curve = [_curve_poles(mu, pairs) for pairs in products]
+
+        def g(s):
+            total = 0j
+            for const, poles in curve:
+                v = const
+                for p, q in poles:
+                    v *= 1.0 / (s - p) - 1.0 / (s - q)
+                total += v
+            return total * mu.weight(s)
+
+        hints = [x for _, poles in curve for x in _near_axis(poles)]
+        return integrate_line(g, cfg, singularities=hints)[0]
+
+    return sum((pair_integral(mu, pairs, cfg)[0] for pairs in products), 0j)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from polyherglotz import (
+    F4_NEVANLINNA_MEASURE,
     MU2,
     Atomic,
     CurvePushforward,
@@ -26,6 +27,7 @@ from polyherglotz import (
     point,
     rational_density,
 )
+from polyherglotz import measures
 
 PI = math.pi
 
@@ -129,9 +131,70 @@ def test_measure_sum():
         MeasureSum((LebesgueScaled(1.0, 1), LebesgueScaled(1.0, 2)))
 
 
+def shifted_cauchy(x):
+    # neither symmetric nor real, so no two terms can cancel by accident
+    return cauchy_nd(x) * (1.0 + 0.3j * x[0] / (1.0 + x[0] ** 2)) / (1.0 + (x[-1] - 0.5) ** 2)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        (
+            LebesgueScaled(0.0, 2),
+            LebesgueScaled(1.5, 2),
+            ProductDensity((constant_density(2.0), cauchy_weight())),
+            ProductDensity((gaussian_density(0.5, 1.2), rational_density("cauchy_squared"))),
+            Atomic(((0.0, 1.0), (2.0, -1.0)), (1.0, 0.5)),
+            MU2,
+        ),
+        (
+            LebesgueScaled(0.0, 1),
+            ProductDensity((constant_density(0.7),)),
+            ProductDensity((cauchy_weight(),)),
+            LebesgueScaled(3.0, 1),
+            ProductDensity((gaussian_density(-1.0, 0.4),)),
+            ProductDensity((rational_density("cauchy_squared"),)),
+            CurvePushforward((2.0,), (1.0,), cauchy_weight(), 0.5),
+        ),
+    ],
+)
+def test_merged_sum_matches_term_by_term(terms):
+    # nested as (t0, (t1, (t2, ...))) so that flattening is exercised too
+    mu = terms[-1]
+    for term in reversed(terms[:-1]):
+        mu = MeasureSum((term, mu))
+    val, err = integrate(mu, shifted_cauchy)
+    want, want_err = 0j, 0.0
+    for term in terms:
+        v, e = integrate(term, shifted_cauchy)
+        want += v
+        want_err += e
+    assert abs(val - want) <= err + want_err
+
+
+def test_density_terms_share_one_quadrature(monkeypatch):
+    calls, integrate_rn = [], measures.integrate_rn
+
+    def counting(f, n, *args):
+        calls.append(n)
+        return integrate_rn(f, n, *args)
+
+    monkeypatch.setattr(measures, "integrate_rn", counting)
+    # 4.5 lambda^2 plus two product densities
+    val, _ = integrate(F4_NEVANLINNA_MEASURE, cauchy_nd)
+    assert calls == [2]
+    assert abs(val - 5.5 * PI * PI) < 1e-7
+
+
 def test_divergence_detection():
     with pytest.raises(DivergenceError):
         integrate(LebesgueScaled(1.0, 1), lambda x: 1.0)
+    # merged with a decaying density term, the Lebesgue term is still checked
+    with pytest.raises(DivergenceError):
+        integrate(
+            MeasureSum((LebesgueScaled(1.0, 1), ProductDensity((cauchy_weight(),)))),
+            lambda x: 1.0,
+        )
     g = check_growth(CurvePushforward((1.0,), (0.0,), constant_density(1.0)))
     assert g.finite  # constant weight against (1+t^2)^-1 converges
     bad = check_growth(

@@ -15,7 +15,6 @@ from .core import (
     signature_of,
 )
 from .errors import (
-    AccuracyError,
     DivergenceError,
     InvalidArgumentError,
     InvalidMeasureError,

@@ -10,6 +10,7 @@ deterministic grids plus seeded random points, never "proved".
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from .core import CutPlanePoint, alternating_sum, symmetry_sum
 from .errors import InvalidArgumentError, TestFunctionBoundError
 from .quadrature import QuadratureConfig, integrate_rn
 from .functions import _probe_points
+from .measures import boundary_hints
 
 DEFAULT_SEED = 1729
 
@@ -114,10 +116,21 @@ def _random_point(rng, signs) -> CutPlanePoint:
     return CutPlanePoint(coords)
 
 
-def _all_signatures(n: int):
-    import itertools
+def _sampled_report(samples, tol: float, config: dict) -> CheckReport:
+    """The verdict of a sampled check from its (point, residual) pairs.
 
-    return list(itertools.product((1, -1), repeat=n))
+    The check passes when no residual exceeds `tol`; its witnesses are up
+    to five samples over `tol`, worst first (ties in sampling order).
+    """
+    worst = 0.0
+    over = []
+    for z, r in samples:
+        if r > worst:
+            worst = r
+        if r > tol:
+            over.append((z, r))
+    over.sort(key=lambda w: w[1], reverse=True)
+    return CheckReport("pass" if worst <= tol else "fail", worst, tol, over[:5], config)
 
 
 def symmetry_check(
@@ -128,22 +141,14 @@ def symmetry_check(
 ) -> CheckReport:
     """Sample the symmetry formula on every connected component."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    witnesses = []
-    for signs in _all_signatures(f.dimension):
-        for _ in range(points_per_component):
-            z = _random_point(rng, signs)
-            r = symmetry_residual(f, z)
-            if r > worst:
-                worst = r
-            if r > tol:
-                witnesses.append((z, r))
-    verdict = "pass" if worst <= tol else "fail"
-    return CheckReport(
-        verdict,
-        worst,
+    points = (
+        _random_point(rng, signs)
+        for signs in itertools.product((1, -1), repeat=f.dimension)
+        for _ in range(points_per_component)
+    )
+    return _sampled_report(
+        ((z, symmetry_residual(f, z)) for z in points),
         tol,
-        witnesses[:5],
         {"points_per_component": points_per_component, "seed": seed},
     )
 
@@ -156,42 +161,31 @@ def nondependence_test(f, probes: int = 5, tol: float = 1e-9) -> CheckReport:
     """Check that values with some coordinate in C- ignore the C+ coordinates.
 
     For each mixed signature the lower coordinates are fixed at deterministic
-    samples while the upper ones sweep `probes` values; the residual is the
-    largest pairwise deviation of f.  Vacuously passes for n = 1.
+    samples while the upper ones sweep `probes` values; each sample is the
+    deviation of f from its value at the first probe.  For n = 1 there is
+    no mixed signature, so the check passes vacuously.
     """
+    samples = _nondependence_samples(f, min(probes, len(_UPPER_PROBES)))
+    return _sampled_report(samples, tol, {"probes": probes})
+
+
+def _nondependence_samples(f, probes: int):
     n = f.dimension
-    cfg = {"probes": probes}
-    if n == 1:
-        return CheckReport("pass", 0.0, tol, [], cfg)
-    probes = min(probes, len(_UPPER_PROBES))
-    worst = 0.0
-    witnesses = []
-    for signs in _all_signatures(n):
-        lower = [j for j, s in enumerate(signs) if s == -1]
+    for signs in itertools.product((1, -1), repeat=n):
         upper = [j for j, s in enumerate(signs) if s == 1]
-        if not lower or not upper:
+        if not 0 < len(upper) < n:
             continue
         for k in range(len(_LOWER_BASES)):
-            base = {j: _LOWER_BASES[(k + j) % len(_LOWER_BASES)] for j in lower}
-            values = []
-            pts = []
+            coords = [_LOWER_BASES[(k + j) % len(_LOWER_BASES)] for j in range(n)]
             for p in range(probes):
-                coords = [0j] * n
-                for j in lower:
-                    coords[j] = base[j]
                 for j in upper:
                     coords[j] = _UPPER_PROBES[(p + j) % len(_UPPER_PROBES)]
                 pt = CutPlanePoint(tuple(coords))
-                pts.append(pt)
-                values.append(complex(f(pt)))
-            for p in range(1, len(values)):
-                r = abs(values[p] - values[0])
-                if r > worst:
-                    worst = r
-                if r > tol:
-                    witnesses.append((pts[p], r))
-    verdict = "pass" if worst <= tol else "fail"
-    return CheckReport(verdict, worst, tol, witnesses[:5], cfg)
+                value = complex(f(pt))
+                if p:
+                    yield pt, abs(value - first)
+                else:
+                    first = value
 
 
 def positivity_check(
@@ -200,18 +194,13 @@ def positivity_check(
     tol: float = 1e-12,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
-    """Sampled Im f >= 0 on C+^n (tolerance -tol for roundoff)."""
-    worst = math.inf
-    witness = None
-    for p in _probe_points(f.dimension, samples, seed):
-        v = complex(f(p)).imag
-        if v < worst:
-            worst, witness = v, p
-    verdict = "pass" if worst >= -tol else "fail"
-    residual = max(0.0, -worst)
-    witnesses = [(witness, residual)] if verdict == "fail" else []
-    return CheckReport(
-        verdict, residual, tol, witnesses, {"samples": samples, "seed": seed}
+    """Sampled Im f >= 0 on C+^n; a point's residual is max(0, -Im f), so
+    roundoff below `tol` passes."""
+    points = _probe_points(f.dimension, samples, seed)
+    return _sampled_report(
+        ((p, max(0.0, -complex(f(p)).imag)) for p in points),
+        tol,
+        {"samples": samples, "seed": seed},
     )
 
 
@@ -520,12 +509,15 @@ def _limit_in_y(raw_values, y_sequence, order, conv_tol):
 
 def _stieltjes(f, boundary, phi, cfg, quad, conv_tol, mode) -> InversionResult:
     """Integrate phi(x) * boundary(x, y) over R^n on the y ladder and
-    extrapolate to y -> 0+; quadrature hints come from f.boundary_hints."""
+    extrapolate to y -> 0+.  The quadrature hints are the spikes of
+    `measures.boundary_hints` for the function's `measure`, when it has
+    one."""
     n = phi.dimension
     if f.dimension != n:
         raise InvalidArgumentError("test function and function dimensions differ")
     _spot_check_bound(phi)
-    hints = getattr(f, "boundary_hints", None)
+    mu = getattr(f, "measure", None)
+    hints = None if mu is None else (lambda prefix: boundary_hints(mu, prefix))
 
     raw = []
     for y in cfg.y_sequence:

@@ -303,6 +303,16 @@ def cmd_invert(args) -> int:
     return 0
 
 
+# Flags shared by several subcommands; each subcommand declares only those
+# it reads, so an unread one is a usage error.
+_OPTIONS = {
+    "out": {"help": "write the JSON/CSV report here instead of stdout"},
+    "seed": {"type": int, "default": DEFAULT_SEED},
+    "config": {"help": "JSON file with quadrature/limit overrides"},
+    "tol": {"type": float, "default": None},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polyherglotz",
@@ -310,28 +320,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write the JSON/CSV report here instead of stdout")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--config", help="JSON file with quadrature/limit overrides")
-        p.add_argument("--tol", type=float, default=None)
+    def options(p, *names):
+        """Declare the shared flags that this subcommand reads."""
+        for name in names:
+            p.add_argument(f"--{name}", **_OPTIONS[name])
 
     pe = sub.add_parser("eval", help="evaluate a function at a point")
     pe.add_argument("--fn", required=True)
     pe.add_argument("--point", required=True, help='comma-separated a+bi, e.g. "4i,4i"')
-    common(pe)
+    options(pe, "out", "config")
     pe.set_defaults(func=cmd_eval)
 
     pc = sub.add_parser("check", help="run a property check")
     pc.add_argument("which", choices=_CHECK_NAMES)
     pc.add_argument("--fn", required=True)
-    common(pc)
+    options(pc, "out", "seed", "config", "tol")
     pc.set_defaults(func=cmd_check)
 
     pt = sub.add_parser(
         "reproduce-tables", help="recompute the catalogue condition matrix"
     )
-    common(pt)
+    options(pt, "out", "seed")
     pt.set_defaults(func=cmd_reproduce_tables)
 
     pi = sub.add_parser("invert", help="Stieltjes inversion of a function")
@@ -340,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument(
         "--mode", choices=("classic", "alternating"), default="alternating"
     )
-    common(pi)
+    options(pi, "out", "config", "tol")
     pi.set_defaults(func=cmd_invert)
 
     return ap

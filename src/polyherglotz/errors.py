@@ -25,18 +25,6 @@ class PoleError(PolyherglotzError, ZeroDivisionError):
     """Evaluation requested exactly at a pole."""
 
 
-class AccuracyError(PolyherglotzError):
-    """Quadrature could not meet the requested tolerance.
-
-    Carries the best estimate and the achieved error bound.
-    """
-
-    def __init__(self, message, estimate=None, achieved_error=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.achieved_error = achieved_error
-
-
 class DivergenceError(PolyherglotzError):
     """Integrand does not decay; the integral is treated as divergent."""
 

@@ -12,6 +12,12 @@ are `measures.pair_integral`s; the second does not depend on z and is
 computed once, at construction.  Product measures are thereby exact,
 atomic measures are summed, and curve measures take one line quadrature
 per evaluation.
+
+Every function object exposes `measure`: the defining measure of a
+Cauchy-type function or a catalogue entry that has one, the representing
+measure of a Herglotz function, the inner function's for a restriction,
+and None otherwise.  Stieltjes inversion reads its quadrature hints from
+it (`measures.boundary_hints`).
 """
 
 from __future__ import annotations
@@ -27,8 +33,6 @@ from .core import CutPlanePoint
 from .errors import InvalidArgumentError, UnknownCatalogueIdError
 from .measures import (
     MU2,
-    Atomic,
-    CurvePushforward,
     DensityDescriptor,
     LebesgueScaled,
     Measure,
@@ -39,31 +43,6 @@ from .measures import (
     pair_integral,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
-
-
-def _boundary_hints(mu: Measure, prefix: tuple):
-    """Spike locations on the next integration axis for boundary integrals.
-
-    Used by Stieltjes inversion: as y -> 0+ the integrand of the x-integral
-    peaks where the measure carries mass on the slice through `prefix`.
-    """
-    axis = len(prefix)
-    if isinstance(mu, Atomic):
-        return [p[axis] for p in mu.points]
-    if isinstance(mu, MeasureSum):
-        out = []
-        for t in mu.terms:
-            out.extend(_boundary_hints(t, prefix))
-        return out
-    if isinstance(mu, CurvePushforward):
-        if mu.alpha[axis] == 0.0:
-            return [mu.beta[axis]]
-        for i in range(axis):
-            if mu.alpha[i] != 0.0:
-                s = (prefix[i] - mu.beta[i]) / mu.alpha[i]
-                return [mu.alpha[axis] * s + mu.beta[axis]]
-        return []
-    return []  # absolutely continuous with smooth density
 
 
 class CauchyTypeFunction:
@@ -91,9 +70,6 @@ class CauchyTypeFunction:
 
     def __call__(self, z) -> complex:
         return self.evaluate(z)[0]
-
-    def boundary_hints(self, prefix: tuple):
-        return _boundary_hints(self.measure, prefix)
 
 
 def evaluate_cauchy(mu: Measure, z, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
@@ -126,6 +102,7 @@ class HerglotzFunction:
 
     def __init__(self, triple: HerglotzTriple, config: QuadratureConfig = DEFAULT_CONFIG):
         self.triple = triple
+        self.measure = triple.mu
         self.config = config
         self.dimension = triple.mu.dimension
         self._cauchy = CauchyTypeFunction(triple.mu, config)
@@ -138,9 +115,6 @@ class HerglotzFunction:
 
     def __call__(self, z) -> complex:
         return self.evaluate(z)[0]
-
-    def boundary_hints(self, prefix: tuple):
-        return _boundary_hints(self.triple.mu, prefix)
 
 
 def evaluate_herglotz_sym(
@@ -179,17 +153,13 @@ class ClosedFormFunction:
             )
         return branch(*p.coords)
 
-    def boundary_hints(self, prefix: tuple):
-        if self.measure is None:
-            return []
-        return _boundary_hints(self.measure, prefix)
-
 
 class UpperRestriction:
     """View of a function restricted to C+^n (raises elsewhere)."""
 
     def __init__(self, f):
         self.inner = f
+        self.measure = getattr(f, "measure", None)
         self.dimension = f.dimension
         self.name = getattr(f, "name", "function") + "|upper"
 
@@ -203,10 +173,6 @@ class UpperRestriction:
 
     def __call__(self, z) -> complex:
         return self.evaluate(z)[0]
-
-    def boundary_hints(self, prefix: tuple):
-        inner = getattr(self.inner, "boundary_hints", None)
-        return inner(prefix) if inner else []
 
 
 def restrict_to_upper(f) -> UpperRestriction:

@@ -10,10 +10,12 @@ Nevanlinna checker's error analysis stays tractable.
 The kernel integral, the Nevanlinna residual and the growth integral are
 all integrals of products of pole pairs (see `kernels`), which
 `pair_integral` computes; `integrate` is adaptive quadrature for arbitrary
-integrands.  `integrate` takes one iterated quadrature for all the
-absolutely continuous terms of a sum (scaled Lebesgue and product
-densities), and the Nevanlinna residual of a curve sums all of its
-pole-pair products under one line quadrature.
+integrands.  `integrate` has one path for absolutely continuous terms: a
+measure counts as the sum of its terms, and all its scaled Lebesgue and
+product-density terms take one iterated quadrature.  The Nevanlinna
+residual of a curve sums all of its pole-pair products under one line
+quadrature.  `boundary_hints` tells Stieltjes inversion where a measure's
+singular part puts spikes on each integration axis.
 """
 
 from __future__ import annotations
@@ -256,19 +258,21 @@ def _axis_profiles(f, n):
     return profiles
 
 
-def _flat_terms(mu: MeasureSum):
-    for term in mu.terms:
-        if isinstance(term, MeasureSum):
+def _flat_terms(mu: Measure):
+    """The terms of a measure, nested sums flattened; a measure that is not
+    a sum is its own single term."""
+    if isinstance(mu, MeasureSum):
+        for term in mu.terms:
             yield from _flat_terms(term)
-        else:
-            yield term
+    else:
+        yield mu
 
 
 def _has_density(mu: Measure) -> bool:
-    """Whether `integrate` merges this sum term into the density quadrature.
+    """Whether `integrate` puts this term into the density quadrature.
 
-    A scaled Lebesgue measure with c = 0 stays out: alone it integrates to
-    0 without a decay check.
+    A scaled Lebesgue measure with c = 0 stays out: it integrates to 0
+    without a decay check.
     """
     return isinstance(mu, ProductDensity) or (isinstance(mu, LebesgueScaled) and mu.c != 0.0)
 
@@ -280,29 +284,28 @@ def _density_product(factors, t) -> float:
     return p
 
 
-def _checked_integrand(mu: Measure, f):
-    """f times the density of a product-density term, or f itself for a
-    scaled Lebesgue term (whose scale the caller applies); raises
-    DivergenceError when its profiles do not decay."""
-    if isinstance(mu, LebesgueScaled):
-        g = f
-    else:
-        g = lambda t: f(t) * _density_product(mu.factors, t)
-    for label, h in _axis_profiles(g, mu.dimension):
-        _check_decay(h, label)
-    return g
-
-
 def _integrate_densities(terms: list, f, cfg: QuadratureConfig, hints):
     """integral of f against a sum of scaled Lebesgue and product-density
-    terms as one quadrature of f times the sum of their densities."""
+    terms as one quadrature of f times the sum of their densities; with no
+    product term that is (sum of the scales) times the integral of f.
+
+    Each term's integrand is checked for decay as if it were integrated
+    alone.
+    """
     c, products = 0.0, []
     for term in terms:
-        _checked_integrand(term, f)
         if isinstance(term, LebesgueScaled):
             c += term.c
+            g = f
         else:
             products.append(term.factors)
+            g = lambda t, fs=term.factors: f(t) * _density_product(fs, t)
+        for label, h in _axis_profiles(g, term.dimension):
+            _check_decay(h, label)
+    n = terms[0].dimension
+    if not products:
+        val, err = integrate_rn(f, n, cfg, hints)
+        return c * val, c * err
 
     def fw(t):
         d = c
@@ -310,7 +313,7 @@ def _integrate_densities(terms: list, f, cfg: QuadratureConfig, hints):
             d += _density_product(factors, t)
         return f(t) * d
 
-    return integrate_rn(fw, terms[0].dimension, cfg, hints)
+    return integrate_rn(fw, n, cfg, hints)
 
 
 def integrate(
@@ -321,48 +324,50 @@ def integrate(
 ):
     """integral of f dmu.  Returns (value, error_estimate).
 
-    Atomic measures are summed exactly; everything else goes through
-    adaptive quadrature on the tan-compactified axes.  A sum is flattened,
-    and when it has two or more absolutely continuous terms (scaled
-    Lebesgue with c > 0, product densities) they are integrated as one
-    quadrature of f times the sum of their densities; atoms and curves
-    keep their own paths.  Every term's integrand is checked for decay as
-    if it were integrated alone.
+    A measure is taken as the sum of its flattened terms (one term when it
+    is not a sum).  All absolutely continuous terms (scaled Lebesgue with
+    c > 0, product densities) are integrated as one adaptive quadrature on
+    the tan-compactified axes; then atoms are summed exactly and each curve
+    takes one line quadrature, in the order of the terms.
     """
+    terms = list(_flat_terms(mu))
+    dense = [t for t in terms if _has_density(t)]
+    val, err = _integrate_densities(dense, f, cfg, hints) if dense else (0j, 0.0)
+    for term in terms:
+        if isinstance(term, Atomic):
+            val += sum((w * f(p) for p, w in zip(term.points, term.weights)), 0j)
+        elif isinstance(term, CurvePushforward) and term.scale != 0.0:
+            g = lambda s: f(term.at(s)) * term.weight(s)
+            _check_decay(g, "curve parameter")
+            v, e = integrate_line(g, cfg)
+            val += term.scale * v
+            err += term.scale * e
+        elif not isinstance(term, (LebesgueScaled, ProductDensity, CurvePushforward)):
+            raise InvalidArgumentError(f"unknown measure variant {type(term).__name__}")
+    return val, err
+
+
+def boundary_hints(mu: Measure, prefix: tuple) -> list:
+    """Spike locations on the next integration axis for boundary integrals.
+
+    Used by Stieltjes inversion: as y -> 0+ the integrand of the x-integral
+    peaks where the measure carries mass on the slice through the fixed
+    coordinates `prefix`.  Densities are smooth and give none.
+    """
+    axis = len(prefix)
     if isinstance(mu, Atomic):
-        return sum((w * f(p) for p, w in zip(mu.points, mu.weights)), 0j), 0.0
-
+        return [p[axis] for p in mu.points]
     if isinstance(mu, MeasureSum):
-        terms = list(_flat_terms(mu))
-        dense = [t for t in terms if _has_density(t)]
-        val, err = 0j, 0.0
-        if len(dense) > 1:
-            val, err = _integrate_densities(dense, f, cfg, hints)
-            terms = [t for t in terms if not _has_density(t)]
-        for term in terms:
-            v, e = integrate(term, f, cfg, hints)
-            val += v
-            err += e
-        return val, err
-
-    if isinstance(mu, LebesgueScaled):
-        if mu.c == 0.0:
-            return 0j, 0.0
-        val, err = integrate_rn(_checked_integrand(mu, f), mu.dimension, cfg, hints)
-        return mu.c * val, mu.c * err
-
-    if isinstance(mu, ProductDensity):
-        return integrate_rn(_checked_integrand(mu, f), mu.dimension, cfg, hints)
-
+        return [x for t in mu.terms for x in boundary_hints(t, prefix)]
     if isinstance(mu, CurvePushforward):
-        if mu.scale == 0.0:
-            return 0j, 0.0
-        g = lambda s: f(mu.at(s)) * mu.weight(s)
-        _check_decay(g, "curve parameter")
-        val, err = integrate_line(g, cfg)
-        return mu.scale * val, mu.scale * err
-
-    raise InvalidArgumentError(f"unknown measure variant {type(mu).__name__}")
+        if mu.alpha[axis] == 0.0:
+            return [mu.beta[axis]]
+        for i in range(axis):
+            if mu.alpha[i] != 0.0:
+                s = (prefix[i] - mu.beta[i]) / mu.alpha[i]
+                return [mu.alpha[axis] * s + mu.beta[axis]]
+        return []
+    return []
 
 
 # A curve integrand's pole at s gets quadrature breakpoints only when

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from polyherglotz import (
+    F4_DEFINING_MEASURE,
+    Atomic,
     CauchyTypeFunction,
     HerglotzFunction,
     HerglotzTriple,
@@ -31,6 +33,7 @@ from polyherglotz import (
 )
 from polyherglotz import analysis
 from polyherglotz.analysis import _spot_check_bound
+from polyherglotz.measures import boundary_hints
 from conftest import random_cut_point
 
 PI = math.pi
@@ -134,6 +137,27 @@ def test_positivity_matrix():
         assert r.verdict == want, fid
         if want == "fail":
             assert r.witnesses[0][0].is_upper()
+
+
+def test_sampled_report_witnesses_worst_first():
+    pts = [point(complex(0, k + 1)) for k in range(8)]
+    residuals = [0.5, 3.0, 0.0, 2.0, 3.0, 1.0, 4.0, 2.5]
+    r = analysis._sampled_report(zip(pts, residuals), 0.75, {"k": 1})
+    assert (r.verdict, r.max_residual, r.tolerance, r.config) == ("fail", 4.0, 0.75, {"k": 1})
+    assert r.witnesses == [(pts[6], 4.0), (pts[1], 3.0), (pts[4], 3.0), (pts[7], 2.5), (pts[3], 2.0)]
+    r = analysis._sampled_report(zip(pts, residuals), 4.0, {})
+    assert (r.verdict, r.max_residual, r.witnesses) == ("pass", 4.0, [])
+    assert analysis._sampled_report([], 1e-9, {}).verdict == "pass"
+
+
+def test_failing_checks_report_their_worst_sample_first():
+    for k in range(8):
+        f = catalogue(f"f{k}")
+        for r in (symmetry_check(f), nondependence_test(f), positivity_check(f)):
+            if r.verdict == "fail":
+                residuals = [res for _, res in r.witnesses]
+                assert residuals[0] == r.max_residual, (k, r.config)
+                assert all(a >= b for a, b in zip(residuals, residuals[1:])), (k, r.config)
 
 
 # --- reconstruction ----------------------------------------------------------
@@ -258,6 +282,43 @@ def test_stieltjes_dimension_mismatch():
     g = CauchyTypeFunction(LebesgueScaled(1.0, 2))
     with pytest.raises(InvalidArgumentError):
         stieltjes_classic(g, phi_cauchy(1))
+
+
+@pytest.mark.parametrize(
+    "f, mu",
+    [
+        (HerglotzFunction(HerglotzTriple(0.0, (0.0, 0.0), MU2)), MU2),
+        (restrict_to_upper(catalogue("f4")), F4_DEFINING_MEASURE),
+        (CauchyTypeFunction(MU2), MU2),
+        (catalogue("f7"), None),
+    ],
+    ids=["herglotz", "f4-upper", "cauchy", "no-measure"],
+)
+def test_inversion_hints_come_from_the_measure(monkeypatch, f, mu):
+    seen = []
+
+    def no_quadrature(integrand, n, quad, hints=None):
+        seen.append(hints)
+        return 0j, 0.0
+
+    monkeypatch.setattr(analysis, "integrate_rn", no_quadrature)
+    stieltjes_classic(f, phi_cauchy(2))
+    assert f.measure is mu
+    assert len(seen) == len(analysis.DEFAULT_LIMITS.y_sequence)
+    for hints in seen:
+        if mu is None:
+            assert hints is None
+        else:  # the diagonal puts a spike at x2 = x1
+            assert hints((0.3,)) == boundary_hints(mu, (0.3,)) == [0.3]
+
+
+def test_boundary_hints_by_variant():
+    assert boundary_hints(MU2, (0.3,)) == [0.3]
+    assert boundary_hints(MU2, ()) == []
+    atoms = Atomic(((1.0, 2.0), (-1.0, 0.5)), (1.0, 1.0))
+    assert boundary_hints(atoms, ()) == [1.0, -1.0]
+    assert boundary_hints(atoms, (0.0,)) == [2.0, 0.5]
+    assert boundary_hints(LebesgueScaled(1.0, 2), (0.3,)) == []
 
 
 def test_inversion_result_serializable():

@@ -150,6 +150,16 @@ def test_usage_errors(capsys):
     assert main(["eval", "--fn", "nope"]) == 2
     assert main(["invert", "--fn", "cauchy:lebesgue1", "--phi", "weird1d",
                  "--mode", "classic"]) == 2
+    # each subcommand declares only the shared flags it reads
+    for argv in (
+        ["eval", "--fn", "catalogue:f7", "--point", "i,i", "--seed", "3"],
+        ["eval", "--fn", "catalogue:f7", "--point", "i,i", "--tol", "1e-3"],
+        ["reproduce-tables", "--config", "missing.json"],
+        ["reproduce-tables", "--tol", "1e-3"],
+        ["invert", "--fn", "cauchy:lebesgue1", "--phi", "cauchy1d", "--seed", "3"],
+    ):
+        assert main(argv) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
     capsys.readouterr()
 
 

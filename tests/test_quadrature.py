@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from polyherglotz import AccuracyError, QuadratureConfig, quadrature
+from polyherglotz import QuadratureConfig, quadrature
 from polyherglotz.quadrature import integrate_line, integrate_rn
 
 PI = math.pi
@@ -67,12 +67,6 @@ def test_integrate_rn_inner_levels_run_tighter(monkeypatch):
         c.abs_tol == pytest.approx(1e-8) and c.rel_tol == pytest.approx(1e-7)
         for c in inner
     )
-
-
-def test_strict_accuracy_error():
-    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=10)
-    with pytest.raises(AccuracyError):
-        integrate_line(lambda t: 1.0 / (1.0 + t * t), cfg, strict=True)
 
 
 def test_config_validation():

@@ -162,10 +162,15 @@ def nondependence_test(f, probes: int = 5, tol: float = 1e-9) -> CheckReport:
 
     For each mixed signature the lower coordinates are fixed at deterministic
     samples while the upper ones sweep `probes` values; each sample is the
-    deviation of f from its value at the first probe.  For n = 1 there is
-    no mixed signature, so the check passes vacuously.
+    deviation of f from its value at the first probe.  `probes` runs from
+    1 to the five fixed upper probes.  For n = 1 there is no mixed
+    signature, so the check passes vacuously.
     """
-    samples = _nondependence_samples(f, min(probes, len(_UPPER_PROBES)))
+    if not 1 <= probes <= len(_UPPER_PROBES):
+        raise InvalidArgumentError(
+            f"probes must lie in 1..{len(_UPPER_PROBES)}, got {probes!r}"
+        )
+    samples = _nondependence_samples(f, probes)
     return _sampled_report(samples, tol, {"probes": probes})
 
 

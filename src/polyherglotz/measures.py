@@ -12,20 +12,26 @@ all integrals of products of pole pairs (see `kernels`), which
 `pair_integral` computes; `integrate` is adaptive quadrature for arbitrary
 integrands.  `integrate` has one path for absolutely continuous terms: a
 measure counts as the sum of its terms, and all its scaled Lebesgue and
-product-density terms take one iterated quadrature.  The Nevanlinna
-residual of a curve sums all of its pole-pair products under one line
-quadrature.  `boundary_hints` tells Stieltjes inversion where a measure's
-singular part puts spikes on each integration axis.
+product-density terms take one iterated quadrature.
+
+Against a curve, a product of pole pairs is the weight over a polynomial
+in the curve parameter, and `_curve_pair_integral` integrates it exactly
+as a divided difference over the poles (`DensityDescriptor._line_integral`).
+The Nevanlinna residual takes every term that way, so it runs no
+quadrature for any measure of the family.  `pair_integral`'s curve branch
+is still one line quadrature, the independent oracle of the exact one.
+`boundary_hints` tells Stieltjes inversion where a measure's singular part
+puts spikes on each integration axis.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
+import numpy as np
 from scipy.special import wofz
 
 from .core import CutPlanePoint
@@ -33,14 +39,20 @@ from .errors import DivergenceError, InvalidArgumentError, InvalidMeasureError
 from .kernels import _n_pairs, _pair
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_line, integrate_rn
 
-# name -> (density w(t), its Cauchy transform C(z) for Im z > 0)
+# name -> (density w(t), its Cauchy transform C(z) for Im z > 0, and the
+# poles of w in C+ with their multiplicity: w(t) = 1 / prod (t - a)(t - conj a))
 _RATIONAL_TABLE: dict = {
     # C by residues at the double pole t = -i
     "cauchy_squared": (
         lambda t: 1.0 / (1.0 + t * t) ** 2,
         lambda z: -0.5 * math.pi * (1j / (z + 1j) ** 2 + 1.0 / (z + 1j)),
+        (1j, 1j),
     ),
 }
+
+# The Gaussian's Taylor coefficients come from this many samples of the
+# Faddeeva function on a circle about each cluster of nodes.
+_TAYLOR_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -101,6 +113,216 @@ class DensityDescriptor:
             w = wofz((z - m) / (s * math.sqrt(2.0)))
             return complex(1j * math.pi * w / (s * math.sqrt(2.0 * math.pi)))
         return _RATIONAL_TABLE[self.params[0]][1](z)
+
+    def _line_integral(self, nodes: list) -> complex:
+        """integral of w(s) / prod_j (s - r_j) ds over R, for two or more
+        nonreal nodes r_j, repeated or not.
+
+        A constant or rational w is c / prod (s - a)(s - conj a) over its
+        poles a in C+, so the integrand is rational and decays like s^-2:
+        closing the line in C+ gives 2*pi*i*c times the divided difference
+        over the nodes and poles in C+ of 1 / P, with P the product of
+        (r - l) over the nodes and poles l in C-.  By Opitz's formula that
+        is the last entry of P(J)^-1 e_0, where J is lower bidiagonal with
+        the upper nodes on its diagonal and ones below it: one forward
+        substitution (`_solve`) per lower node.  It never divides by a
+        difference of two nodes, and every term lives in C+, so repeated
+        and nearly coincident nodes cost no digits, and an upper node next
+        to a lower one across the real axis costs none in the order below.
+        The Gaussian is entire and takes `_faddeeva_divided_difference`
+        instead.
+        """
+        if self.form == "gaussian":
+            m, s = self.params
+            dd = _faddeeva_divided_difference(nodes, m, s * math.sqrt(2.0))
+            return 1j * math.pi * dd / (s * math.sqrt(2.0 * math.pi))
+        if self.form == "constant":
+            c, poles = self.params[0], ()
+        elif self.form == "cauchy_weight":
+            c, poles = 1.0, (1j,)
+        else:
+            c, poles = 1.0, _RATIONAL_TABLE[self.params[0]][2]
+        # nodes near the real axis come last in C+ and first in C-: a pair
+        # of them across the axis then makes one large entry, which later
+        # substitutions only add to
+        by_height = lambda r: -r.imag
+        upper = sorted([r for r in nodes if r.imag > 0] + list(poles), key=by_height)
+        if not upper:
+            return 0j
+        lower = sorted([r for r in nodes if r.imag < 0] + [a.conjugate() for a in poles], key=by_height)
+        v = [1.0] + [0.0] * (len(upper) - 1)
+        for l in lower:
+            v = _solve(upper, l, v)
+        return 2j * math.pi * c * v[-1]
+
+
+def _solve(nodes: list, pole: complex, v: list) -> list:
+    """(J - pole)^-1 v by forward substitution, J lower bidiagonal with
+    `nodes` on its diagonal and ones below it.  From v = e_0 it gives the
+    divided differences of 1/(r - pole) over the leading nodes."""
+    out, prev = [], 0j
+    for x, b in zip(nodes, v):
+        prev = (b - prev) / (x - pole)
+        out.append(prev)
+    return out
+
+
+def _faddeeva(zeta: complex) -> complex:
+    """Omega(zeta): w(zeta) on C+ and -w(-zeta) = w(zeta) - 2 exp(-zeta^2)
+    on C-, with w = `wofz`.  A Gaussian density of mean m and width s has
+    C(t) = i*pi*Omega((t - m)/(s*sqrt(2)))/(s*sqrt(2*pi))."""
+    if zeta.imag > 0:
+        return complex(wofz(zeta))
+    return -complex(wofz(-zeta))
+
+
+def _faddeeva_divided_difference(nodes: list, m: float, scale: float) -> complex:
+    """[x_0, ..., x_N] of Omega((x - m)/scale) (`_faddeeva`), by a Newton table.
+
+    The nodes are first grouped by `_clusters` and ordered so that each
+    cluster is contiguous.  A run of nodes within one cluster is the
+    divided difference of a Taylor series about the cluster's mean
+    (`_cluster_divided_difference`); any other run comes from the Newton
+    recursion, which then divides by a distance of at least the cluster
+    scale.  A cluster may hold nodes on both sides of the real axis,
+    where the jump 2 exp(-zeta^2) of Omega can be far smaller than Omega
+    itself (the Gaussian's tails): there Omega is w minus that jump on the
+    nodes in C-, and neither part is formed as a difference.  Every
+    difference of nodes is taken in x, never between rounded zeta.
+    """
+    zeta = [(x - m) / scale for x in nodes]
+    labels = _clusters(zeta)
+    order = sorted(range(len(nodes)), key=labels.__getitem__)
+    x = [nodes[i] for i in order]
+    zeta = [zeta[i] for i in order]
+    labels = [labels[i] for i in order]
+    n = len(x)
+    table = [[0j] * n for _ in range(n)]
+    series = {}
+    for i in range(n):
+        table[i][i] = _faddeeva(zeta[i])
+        for j in range(i - 1, -1, -1):
+            if labels[j] != labels[i]:
+                table[j][i] = (table[j + 1][i] - table[j][i - 1]) / (x[i] - x[j])
+                continue
+            if labels[i] not in series:
+                series[labels[i]] = _cluster_series(
+                    [a for a, c in zip(x, labels) if c == labels[i]], m, scale
+                )
+            table[j][i] = _cluster_divided_difference(series[labels[i]], x[j:i + 1])
+    return table[0][n - 1]
+
+
+def _taylor_radius(z: float) -> float:
+    """The radius of the Taylor circles about a point at distance z from
+    the origin, in zeta (see `_cluster_series`)."""
+    return max(1.0, z / 4)
+
+
+def _clusters(zeta: list, fraction: float = 0.5) -> list:
+    """Cluster labels (tuples) for points of the plane.
+
+    Two points are linked when they lie within `fraction` of the Taylor
+    radius of each other, and a cluster is a linked chain, so that the
+    Newton recursion between clusters divides by at least that much.  A
+    chain that does not fit in half the Taylor radius about its mean is
+    split again at half the fraction, so that each cluster's series
+    converges like 2^-k.
+    """
+    labels = [(i,) for i in range(len(zeta))]
+    for i, a in enumerate(zeta):
+        for j in range(i):
+            b = zeta[j]
+            if labels[i] != labels[j] and abs(a - b) <= fraction * _taylor_radius(min(abs(a), abs(b))):
+                old = labels[i]
+                labels = [labels[j] if x == old else x for x in labels]
+    for label in set(labels):
+        idx = [k for k, x in enumerate(labels) if x == label]
+        points = [zeta[k] for k in idx]
+        center = sum(points) / len(points)
+        if max(abs(p - center) for p in points) > _taylor_radius(abs(center)) / 2:
+            for k, sub in zip(idx, _clusters(points, fraction / 2)):
+                labels[k] = label + sub
+    return labels
+
+
+def _cluster_series(nodes: list, m: float, scale: float):
+    """(mirrored, center, radius, w series, exp(-zeta^2) series or None)
+    about the mean of a cluster of nodes: the coefficients a_k of
+    f(zeta(center + radius*u)) = sum_k a_k u^k, zeta(x) = (x - m)/scale,
+    from the Cauchy integral on the circle |u| = 1.
+
+    A cluster entirely in C- is mirrored into C+ (Omega = -conj w(conj .)
+    there).  The radius is max(1, |zeta(center)|/4) in zeta; a center in
+    C- then belongs to a cluster with a node in C+ within half a radius.
+    The disc of twice the radius stays where |exp(-zeta^2)| < e^7 (within
+    2.5 of the real axis near the origin, or where |Re| >= |Im|, or in
+    C+), so that w and exp(-zeta^2) are bounded on it, their coefficients
+    fall off like 2^-k, and the samples alias nothing above rounding.  On a larger
+    circle the exp(-zeta^2) part of w, negligible at the center, would
+    alias into the low coefficients; a smaller one would leave the
+    coefficients of high order, which a divided difference over many
+    nodes needs, with fewer correct digits.
+    """
+    mirrored = all(x.imag < 0 for x in nodes)
+    center = sum(nodes) / len(nodes)
+    if mirrored:
+        center = center.conjugate()
+    zc = (center - m) / scale
+    r = _taylor_radius(abs(zc))
+    u = zc + r * np.exp(2j * np.pi * np.arange(_TAYLOR_SAMPLES) / _TAYLOR_SAMPLES)
+    w_series = (np.fft.fft(wofz(u)) / _TAYLOR_SAMPLES).tolist()
+    exp_series = None  # needed, and bounded, only across the real axis
+    if not mirrored and any(x.imag < 0 for x in nodes):
+        exp_series = (np.fft.fft(np.exp(-u * u)) / _TAYLOR_SAMPLES).tolist()
+    return mirrored, center, r * scale, w_series, exp_series
+
+
+def _cluster_divided_difference(series, run: list) -> complex:
+    """[run] Omega for a run of nodes of one cluster.
+
+    With U and L the nodes of the run in C+ and C-, Omega = w - 2 exp(-zeta^2)
+    on L gives [run] w - 2 [L](exp(-zeta^2) / P_U) by partial fractions
+    (P_U = prod over U of (x - u)); the second term is a forward
+    substitution (`_solve`) against the divided differences of the
+    exp(-zeta^2) series over L.
+    """
+    mirrored, center, radius, w_series, exp_series = series
+    if mirrored:
+        return -_taylor_divided_difference(
+            center, radius, w_series, [x.conjugate() for x in run]
+        ).conjugate()
+    dd = _taylor_divided_difference(center, radius, w_series, run)
+    lower = [x for x in run if x.imag < 0]
+    if not lower:
+        return dd
+    v = [1.0] + [0.0] * (len(lower) - 1)
+    for u in run:
+        if u.imag > 0:
+            v = _solve(lower, u, v)
+    jump = sum(
+        a * _taylor_divided_difference(center, radius, exp_series, lower[k:])
+        for k, a in enumerate(v)
+    )
+    return dd - 2 * jump
+
+
+def _taylor_divided_difference(center, radius, coeffs, nodes: list) -> complex:
+    """Divided difference over `nodes` of sum_k a_k ((x - center)/radius)^k:
+    divide the series by (u - u_j) for all nodes but the last (synthetic
+    division), evaluate at the last, and rescale by radius^-(len - 1)."""
+    a = coeffs
+    us = [(x - center) / radius for x in nodes]
+    for d in us[:-1]:
+        q, acc = [0j] * (len(a) - 1), 0j
+        for k in range(len(a) - 1, 0, -1):
+            acc = a[k] + d * acc
+            q[k - 1] = acc
+        a = q
+    val = 0j
+    for c in reversed(a):
+        val = val * us[-1] + c
+    return val / radius ** (len(nodes) - 1)
 
 
 def constant_density(c: float) -> DensityDescriptor:
@@ -344,7 +566,7 @@ def integrate(
             err += term.scale * e
         elif not isinstance(term, (LebesgueScaled, ProductDensity, CurvePushforward)):
             raise InvalidArgumentError(f"unknown measure variant {type(term).__name__}")
-    return val, err
+    return complex(val), err
 
 
 def boundary_hints(mu: Measure, prefix: tuple) -> list:
@@ -419,7 +641,7 @@ def pair_integral(
                 v *= 1.0 / (s - p) - 1.0 / (s - q)
             return v
 
-        val, err = integrate_line(g, cfg, singularities=_near_axis(poles))
+        val, err = integrate_line(g, cfg, _near_axis(poles), complex_func=True)
         return const * val, abs(const) * err
 
     raise InvalidArgumentError(f"unknown measure variant {type(mu).__name__}")
@@ -465,58 +687,77 @@ def check_growth(mu: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GrowthR
     return GrowthResult(True, val.real)
 
 
-def nevanlinna_residual(
-    mu: Measure,
-    z: CutPlanePoint,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> complex:
+def nevanlinna_residual(mu: Measure, z: CutPlanePoint) -> complex:
     """The rho-indexed N-factor sum whose vanishing (for all z in C+^n)
     characterizes representing measures.
 
     The sum runs over every rho in {-1, 0, 1}^n containing both -1 and 1,
-    of the integral of prod_l N_rho_l(z_l, t_l) dmu.  A curve term integrates
-    the whole sum as one line quadrature in its parameter; every other
-    term sums `pair_integral` rho by rho, so product measures give an exact
-    residual.  For n = 1 the index set is empty and the residual is
+    of the integral of prod_l N_rho_l(z_l, t_l) dmu, taken as the grouped
+    products of `_rho_products`.  Every product is exact: a curve takes
+    `_curve_pair_integral` and every other variant `pair_integral`, so no
+    quadrature runs.  For n = 1 the index set is empty and the residual is
     exactly 0.
     """
     if not isinstance(z, CutPlanePoint):
         z = CutPlanePoint(tuple(z))
     if not z.is_upper():
         raise InvalidArgumentError("nevanlinna residual is sampled on C+^n")
-    n = z.n
-    if mu.dimension != n:
+    if mu.dimension != z.n:
         raise InvalidArgumentError("measure and point dimensions differ")
-    tables = [_n_pairs(c) for c in z.coords]
-    products = [
-        [tab[r + 1] for tab, r in zip(tables, rho)]
-        for rho in itertools.product((-1, 0, 1), repeat=n)
-        if -1 in rho and 1 in rho
-    ]
-    return _residual(mu, products, cfg) if products else 0j
+    products = _rho_products([_n_pairs(c) for c in z.coords])
+    return _residual(mu, products) if products else 0j
 
 
-def _residual(mu: Measure, products: list, cfg: QuadratureConfig) -> complex:
+def _rho_products(tables: list) -> list:
+    """The sum over rho of prod_l N_rho_l as a list of products of pole
+    pairs, one pair per axis.
+
+    The axes are taken in turn, keeping the products of each prefix of rho
+    by whether it holds -1 and whether it holds 1.  Where a prefix leaves
+    several values free on the next axis, the product takes their sum,
+    which telescopes to one pair: N_-1 + N_0 = pair(z, -i),
+    N_0 + N_1 = pair(i, conj z) and N_-1 + N_0 + N_1 = pair(z, conj z).
+    That takes 2 products at n = 2 (the same two as rho by rho) and 6
+    instead of 12 at n = 3.  Near the real axis the telescoped pair is
+    small where its terms are large, so these products cancel far less
+    than the rho terms do.
+    """
+    neither, minus_only, plus_only, both = [()], [], [], []
+    for minus, zero, plus in tables:
+        neither, minus_only, plus_only, both = (
+            [p + (zero,) for p in neither],
+            [p + ((minus[0], zero[1]),) for p in minus_only] + [p + (minus,) for p in neither],
+            [p + ((zero[0], plus[1]),) for p in plus_only] + [p + (plus,) for p in neither],
+            [p + ((minus[0], plus[1]),) for p in both]
+            + [p + (plus,) for p in minus_only]
+            + [p + (minus,) for p in plus_only],
+        )
+    return both
+
+
+def _residual(mu: Measure, products: list) -> complex:
     """sum over `products` of the integral of each pole-pair product dmu."""
     if isinstance(mu, MeasureSum):
-        return sum((_residual(term, products, cfg) for term in mu.terms), 0j)
-
+        return sum((_residual(term, products) for term in mu.terms), 0j)
     if isinstance(mu, CurvePushforward):
-        curve = [_curve_poles(mu, pairs) for pairs in products]
+        return sum((_curve_pair_integral(mu, pairs) for pairs in products), 0j)
+    return sum((pair_integral(mu, pairs)[0] for pairs in products), 0j)
 
-        def g(s):
-            total = 0j
-            for const, poles in curve:
-                v = const
-                for p, q in poles:
-                    v *= 1.0 / (s - p) - 1.0 / (s - q)
-                total += v
-            return total * mu.weight(s)
 
-        hints = [x for _, poles in curve for x in _near_axis(poles)]
-        return integrate_line(g, cfg, singularities=hints)[0]
+def _curve_pair_integral(mu: CurvePushforward, pairs: Sequence[tuple]) -> complex:
+    """integral of prod_l pair(p_l, q_l)(t_l) dmu against a curve, exactly.
 
-    return sum((pair_integral(mu, pairs, cfg)[0] for pairs in products), 0j)
+    Each factor 1/(s-p) - 1/(s-q) of `_curve_poles` is (p-q)/((s-p)(s-q)),
+    which leaves the integral of the weight over the product of (s - r)
+    for all the poles r (`DensityDescriptor._line_integral`).  A pair with
+    p = q is the zero factor.
+    """
+    const, poles = _curve_poles(mu, pairs)
+    for p, q in poles:
+        const *= p - q
+    if const == 0:
+        return 0j
+    return const * mu.weight._line_integral([r for pq in poles for r in pq])
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,18 @@ tolerances and only the outermost level at the caller's own: an inner error
 of the outer tolerance's size would reach the outer integrand as noise,
 which the outer adaptive rule then subdivides to chase.  The reported error
 is still the outermost estimate only.
+
+`quad` integrates a complex integrand as two adaptive passes, one per part.
+Whether an integrand is complex is read once per call from its value at
+the origin, by `integrate_rn` for all of its lines; a real integrand then
+takes one pass on every line and gives a float, the same number as the
+real part of the two-pass result.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -46,8 +53,17 @@ def integrate_line(
     f: Callable[[float], complex],
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     singularities: Sequence[float] = (),
+    complex_func: bool | None = None,
 ):
-    """Adaptive quadrature of f over R.  Returns (value, error_estimate)."""
+    """Adaptive quadrature of f over R.  Returns (value, error_estimate).
+
+    `complex_func` says whether f is complex; when it is None, f's value at
+    the origin decides.  A real f takes one `quad` pass and gives a float,
+    a complex f two passes, one per part.  An f taken as real that returns
+    a complex value raises TypeError.
+    """
+    if complex_func is None:
+        complex_func = _is_complex(f(0.0))
 
     def integrand(theta):
         t = math.tan(theta)
@@ -74,9 +90,15 @@ def integrate_line(
             epsabs=cfg.abs_tol,
             epsrel=cfg.rel_tol,
             limit=max(cfg.max_subdivisions, 10),
-            complex_func=True,
+            complex_func=complex_func,
         )
     return val, abs(err)
+
+
+def _is_complex(value) -> bool:
+    """Whether an integrand with this value at the origin needs the
+    imaginary pass of `quad`."""
+    return not isinstance(value, numbers.Real)
 
 
 def integrate_rn(
@@ -91,10 +113,13 @@ def integrate_rn(
     already-fixed coordinates `prefix`.  The outermost axis runs at `cfg`'s
     tolerances and every inner axis at 1/100 of them, so that inner errors
     stay well below what the outer rule resolves.  The reported error is
-    the outermost quadrature estimate only.
+    the outermost quadrature estimate only.  Whether f is complex is read
+    once, from its value at the origin, and passed to every line: a real f
+    gives a float and takes one `quad` pass per line.
     """
+    complex_func = _is_complex(f((0.0,) * n))
     if n == 1:
-        return integrate_line(lambda t: f((t,)), cfg, hints(()) if hints else ())
+        return integrate_line(lambda t: f((t,)), cfg, hints(()) if hints else (), complex_func)
 
     inner = replace(
         cfg,
@@ -109,6 +134,6 @@ def integrate_rn(
             g = lambda t: f(prefix + (t,))
         else:
             g = lambda t: level(prefix + (t,))[0]
-        return integrate_line(g, inner if axis else cfg, sing)
+        return integrate_line(g, inner if axis else cfg, sing, complex_func)
 
     return level(())

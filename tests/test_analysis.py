@@ -118,6 +118,14 @@ def test_nondependence_matrix():
         assert nondependence_test(catalogue(fid)).verdict == want, fid
 
 
+def test_nondependence_rejects_probes_it_cannot_sample():
+    # there are five fixed upper probes; more were once recorded but not sampled
+    for probes in (0, 6, 10):
+        with pytest.raises(InvalidArgumentError):
+            nondependence_test(catalogue("f4"), probes=probes)
+    assert nondependence_test(catalogue("f4"), probes=5).config == {"probes": 5}
+
+
 def test_nondependence_vacuous_n1():
     g = CauchyTypeFunction(LebesgueScaled(1.0, 1))
     r = nondependence_test(g)

@@ -11,6 +11,7 @@ from polyherglotz import (
     MU2,
     CauchyTypeFunction,
     CurvePushforward,
+    F4_DEFINING_MEASURE,
     F4_NEVANLINNA_MEASURE,
     LebesgueScaled,
     catalogue,
@@ -154,16 +155,20 @@ def n1(z, t):
 
 
 def test_mu2_residual_matches_residue_form():
-    # closing each line integral in the upper half-plane
+    # closing each line integral in the upper half-plane.  The residue form
+    # is a sum of four terms; near the real axis they can exceed the sum by
+    # orders of magnitude, so the error is measured against their sizes.
     rng = np.random.default_rng(20261019)
-    for lo, hi in ((1e-2, 1e-1), (1e-1, 1.0), (1.0, 5.0)):
+    for lo, hi in ((1e-6, 1e-2), (1e-2, 1e-1), (1e-1, 1.0), (1.0, 5.0)):
         for _ in range(50):
             z1, z2 = (
                 complex(rng.uniform(-5, 5), math.exp(rng.uniform(math.log(lo), math.log(hi))))
                 for _ in range(2)
             )
-            want = math.pi**2 * (n1(z2, z1) - n1(z2, 1j) + n1(z1, z2) - n1(z1, 1j))
-            assert abs(nevanlinna_residual(MU2, point(z1, z2)) - want) < 1e-10, (z1, z2)
+            terms = (n1(z2, z1), -n1(z2, 1j), n1(z1, z2), -n1(z1, 1j))
+            want = math.pi**2 * sum(terms)
+            scale = math.pi**2 * sum(map(abs, terms))
+            assert abs(nevanlinna_residual(MU2, point(z1, z2)) - want) <= 1e-13 * scale, (z1, z2)
 
 
 def residual_by_rho(mu, z):
@@ -190,9 +195,11 @@ def test_curve_residual_matches_rho_by_rho_oracle():
         assert abs(nevanlinna_residual(mu, point(*z)) - want) <= err + 1e-10, z
 
 
-@pytest.mark.parametrize("mu", [MU2, CurvePushforward((1.0, 0.0, -2.0), (0.3, -0.5, 1.0), cauchy_weight())])
-def test_curve_residual_is_one_line_quadrature(monkeypatch, mu):
-    # one for all rho together, not one per rho (2 for n = 2, 12 for n = 3)
+@pytest.mark.parametrize(
+    "mu",
+    [MU2, CurvePushforward((1.0, 0.0, -2.0), (0.3, -0.5, 1.0), cauchy_weight()), F4_DEFINING_MEASURE],
+)
+def test_curve_residual_runs_no_quadrature(monkeypatch, mu):
     calls, integrate_line = [], measures.integrate_line
 
     def counting(*args, **kwargs):
@@ -200,8 +207,8 @@ def test_curve_residual_is_one_line_quadrature(monkeypatch, mu):
         return integrate_line(*args, **kwargs)
 
     monkeypatch.setattr(measures, "integrate_line", counting)
-    nevanlinna_residual(mu, point(*[0.5 + 1j] * mu.dimension))
-    assert len(calls) == 1
+    assert math.isfinite(abs(nevanlinna_residual(mu, point(*[0.5 + 1j] * mu.dimension))))
+    assert calls == []
 
 
 def test_product_measure_residuals_vanish_exactly():

@@ -53,9 +53,9 @@ def test_integrate_rn_inner_levels_run_tighter(monkeypatch):
     seen = []
     line = quadrature.integrate_line
 
-    def recording(g, cfg, sing=()):
+    def recording(g, cfg, sing, complex_func):
         seen.append(cfg)
-        return line(g, cfg, sing)
+        return line(g, cfg, sing, complex_func)
 
     monkeypatch.setattr(quadrature, "integrate_line", recording)
     cfg = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-5)
@@ -67,6 +67,58 @@ def test_integrate_rn_inner_levels_run_tighter(monkeypatch):
         c.abs_tol == pytest.approx(1e-8) and c.rel_tol == pytest.approx(1e-7)
         for c in inner
     )
+
+
+def recorded_quad(monkeypatch):
+    """Patch quadrature's `quad` to record the complex_func flag of each call."""
+    flags, quad = [], quadrature.quad
+
+    def recording(*args, **kwargs):
+        flags.append(kwargs["complex_func"])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "quad", recording)
+    return flags
+
+
+def test_real_integrand_takes_one_pass(monkeypatch):
+    flags = recorded_quad(monkeypatch)
+    val, err = integrate_line(lambda t: 1.0 / (1.0 + t * t))
+    assert type(val) is float and abs(val - PI) < 1e-10
+    assert flags == [False]
+    # the same QUADPACK call as the real part of the two-pass result
+    both, both_err = integrate_line(lambda t: 1.0 / (1.0 + t * t), complex_func=True)
+    assert (val, err) == (both.real, both_err)
+
+    flags.clear()
+    val, _ = integrate_rn(lambda x: 1.0 / ((1 + x[0] ** 2) * (1 + x[1] ** 2)), 2)
+    assert type(val) is float and abs(val - PI * PI) < 1e-8
+    assert flags and not any(flags)
+
+
+def test_complex_integrand_keeps_both_parts(monkeypatch):
+    flags = recorded_quad(monkeypatch)
+    val, err = integrate_line(lambda t: (1 + 2j) / (1.0 + t * t))
+    assert abs(val - (1 + 2j) * PI) < 1e-10 and err < 1e-8
+    assert flags == [True]
+
+    flags.clear()
+    val, _ = integrate_rn(lambda x: (1 + 2j) / ((1 + x[0] ** 2) * (1 + x[1] ** 2)), 2)
+    assert abs(val - (1 + 2j) * PI * PI) < 1e-8
+    assert flags and all(flags)
+
+
+def test_integrand_type_is_read_once_per_call(monkeypatch):
+    # one probe per integrate_rn call, not one per inner line
+    probes, is_complex = [], quadrature._is_complex
+
+    def counting(value):
+        probes.append(value)
+        return is_complex(value)
+
+    monkeypatch.setattr(quadrature, "_is_complex", counting)
+    integrate_rn(lambda x: 1.0 / ((1 + x[0] ** 2) * (1 + x[1] ** 2)), 2)
+    assert len(probes) == 1
 
 
 def test_config_validation():

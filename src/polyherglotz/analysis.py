@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import CutPlanePoint, alternating_sum, symmetry_sum
-from .errors import InvalidArgumentError, TestFunctionBoundError
+from .core import MIN_IMAG, CutPlanePoint, alternating_sum, symmetry_sum
+from .errors import InvalidArgumentError, InvalidPointError, TestFunctionBoundError
 from .quadrature import QuadratureConfig, integrate_rn
 from .functions import _probe_points
 from .measures import boundary_hints
@@ -29,6 +29,12 @@ DEFAULT_SEED = 1729
 
 @dataclass(frozen=True)
 class LimitConfig:
+    """The Stoltz rays and the Stieltjes y ladder.
+
+    The checks make every ray point r*e^(+-i*angle) and every ladder point
+    x + iy a valid cut-plane point, so those are built unchecked.
+    """
+
     stoltz_angle: float = math.pi / 4
     radius_sequence: tuple = tuple(2.0**k for k in range(3, 13))
     y_sequence: tuple = tuple(2.0**-k for k in range(1, 11))
@@ -38,13 +44,17 @@ class LimitConfig:
         if not 0 < self.stoltz_angle <= math.pi / 2:
             raise InvalidArgumentError("stoltz angle must lie in (0, pi/2]")
         r = self.radius_sequence
-        if not all(v > 0 for v in r):
-            raise InvalidArgumentError("radii must be positive")
+        if not r or not self.y_sequence:
+            raise InvalidArgumentError("radius and y sequences must not be empty")
+        if not all(0 < v < math.inf for v in r):
+            raise InvalidArgumentError("radii must be positive and finite")
         if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
             raise InvalidArgumentError("radius sequence must increase")
+        if min(r) * math.sin(self.stoltz_angle) < MIN_IMAG:
+            raise InvalidArgumentError(f"min(radius) * sin(angle) must be >= {MIN_IMAG}")
         y = self.y_sequence
-        if not all(v > 0 for v in y):
-            raise InvalidArgumentError("y steps must be positive")
+        if not all(MIN_IMAG <= v < math.inf for v in y):
+            raise InvalidArgumentError(f"y steps must be finite and >= {MIN_IMAG}")
         if any(y[i] <= y[i + 1] for i in range(len(y) - 1)):
             raise InvalidArgumentError("y sequence must decrease")
 
@@ -90,12 +100,19 @@ def richardson_tableau(values: Sequence[complex], ratio: float = 2.0, order: int
     return cols
 
 
+def _on_coords(f):
+    """f on coordinate tuples that are derived from a validated point (its
+    reflections, ray and ladder points), wrapped unchecked."""
+    unchecked = CutPlanePoint._unchecked
+    return lambda w: complex(f(unchecked(w)))
+
+
 # ---------------------------------------------------------------------------
 # Symmetry and non-dependence
 
 def full_symmetry_sum(f, z: CutPlanePoint) -> complex:
     """sum over nonempty B of (-1)^(|B|+1) conj f(Psi_B(i*1, z))."""
-    return symmetry_sum(lambda w: complex(f(CutPlanePoint(w))), z.coords)
+    return symmetry_sum(_on_coords(f), z.coords)
 
 
 def symmetry_residual(f, z: CutPlanePoint) -> float:
@@ -221,31 +238,38 @@ def reconstruct_from_upper(f_upper, z: CutPlanePoint) -> complex:
     """
     if not isinstance(z, CutPlanePoint):
         z = CutPlanePoint(tuple(z))
-    bprime = z.signature().lower_index_set()
-    if not bprime:
+    # B' as a bitmask: the axes whose coordinate lies in the lower half-plane
+    within = sum(1 << j for j, c in enumerate(z.coords) if c.imag < 0)
+    if not within:
         raise InvalidArgumentError(
             "point lies in C+^n; evaluate the function directly"
         )
-    within = sum(1 << (j - 1) for j in bprime)
-    return symmetry_sum(lambda w: complex(f_upper(CutPlanePoint(w))), z.coords, within)
+    return symmetry_sum(_on_coords(f_upper), z.coords, within)
 
 
 # ---------------------------------------------------------------------------
 # Non-tangential growth limits
 
-@dataclass
+@dataclass(slots=True)
 class StoltzResult:
     estimate: complex
     converged: bool
     direction: str
     axis: int
     base_spread: float
-    samples: list
-    config: dict
+    samples: tuple  # f(z)/z_j along the ray from the given base
+    limits: LimitConfig
 
     @property
     def verdict(self) -> str:
         return "converged" if self.converged else "inconclusive"
+
+    @property
+    def config(self) -> dict:
+        return {
+            "angle": self.limits.stoltz_angle,
+            "radii": list(self.limits.radius_sequence),
+        }
 
 
 _ALT_BASE_COORDS = (0.7 + 1.1j, -1.3 + 0.6j, 0.4 - 0.9j, -2.0 - 1.7j)
@@ -255,13 +279,12 @@ def _limit_along_ray(f, j, base_coords, cfg, direction, conv_tol):
     phase = cmath.exp(1j * cfg.stoltz_angle)
     if direction == "lower":
         phase = phase.conjugate()
+    g = _on_coords(f)
+    head, tail = base_coords[:j], base_coords[j + 1 :]
     values = []
     for r in cfg.radius_sequence:
         zj = r * phase
-        coords = tuple(
-            zj if k == j else base_coords[k] for k in range(len(base_coords))
-        )
-        values.append(complex(f(CutPlanePoint(coords))) / zj)
+        values.append(g(head + (zj,) + tail) / zj)
     cols = richardson_tableau(values, 2.0, cfg.extrapolation_order)
     top = cols[-1]
     est = top[-1]
@@ -290,7 +313,9 @@ def stoltz_limit(
     if not 1 <= j <= n:
         raise InvalidArgumentError(f"axis {j} out of range for dimension {n}")
     jj = j - 1
-    base_coords = base.coords if isinstance(base, CutPlanePoint) else tuple(base)
+    if not isinstance(base, CutPlanePoint):
+        base = CutPlanePoint(tuple(base))
+    base_coords = base.coords
     est, converged, values = _limit_along_ray(
         f, jj, base_coords, cfg, direction, conv_tol
     )
@@ -311,8 +336,8 @@ def stoltz_limit(
         direction,
         j,
         spread,
-        values,
-        {"angle": cfg.stoltz_angle, "radii": list(cfg.radius_sequence)},
+        tuple(values),
+        cfg,
     )
 
 
@@ -553,16 +578,24 @@ def stieltjes_classic(
 ) -> InversionResult:
     """Recover integral phi dmu from Im h on C+^n as y -> 0+."""
 
+    h = _on_coords(h_upper)
+
     def im_h(x, y):
-        return complex(h_upper(CutPlanePoint(tuple(complex(v, y) for v in x)))).imag
+        return h(tuple(complex(v, y) for v in x)).imag
 
     return _stieltjes(h_upper, im_h, phi, cfg, quad, conv_tol, "classic")
 
 
 def alternating_boundary_sum(g, x: tuple, y: float) -> complex:
-    """(1/2i) sum_B (-1)^|B| g(Psi_B(x+iy, x+iy))."""
+    """(1/2i) sum_B (-1)^|B| g(Psi_B(x+iy, x+iy)) at finite real x.
+
+    Only y is checked; the ladder point and its reflections are built
+    unchecked.
+    """
+    if not MIN_IMAG <= abs(y) < math.inf:
+        raise InvalidPointError(f"y = {y} does not lift x off the real axis")
     z = tuple(complex(v, y) for v in x)
-    return alternating_sum(lambda w: complex(g(CutPlanePoint(w))), z) / 2j
+    return alternating_sum(_on_coords(g), z) / 2j
 
 
 def stieltjes_cauchy_type(

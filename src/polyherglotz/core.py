@@ -1,7 +1,12 @@
 """Value types for the poly cut-plane and the selective-conjugation map.
 
-A point of the cut-plane is an n-tuple of complex coordinates, each with
-strictly nonzero imaginary part.  The cut-plane splits into 2^n connected
+A point of the cut-plane is an n-tuple of finite complex coordinates, each
+with strictly nonzero imaginary part.  A point is validated once, where it
+enters the library: `CutPlanePoint` checks its coordinates on construction
+and rejects real, NaN and infinite ones.  Points derived from a validated
+one (its reflections, and the Stieltjes ladder and Stoltz ray points whose
+parameters `analysis.LimitConfig` checks) are built unchecked through
+`CutPlanePoint._unchecked`.  The cut-plane splits into 2^n connected
 components indexed by the sign pattern of the imaginary parts; most of the
 combinatorics downstream runs over subsets of {1, ..., n} in bitmask order,
 through the two reflection sums defined here: `symmetry_sum` (the symmetry
@@ -11,6 +16,7 @@ formula and its reduced form used for reconstruction) and `alternating_sum`
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -55,14 +61,22 @@ class ComponentSignature:
         return all(s == 1 for s in self.signs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutPlanePoint:
-    """A point of (C \\ R)^n."""
+    """A point of (C \\ R)^n with finite coordinates."""
 
     coords: tuple
 
+    @classmethod
+    def _unchecked(cls, coords: tuple) -> CutPlanePoint:
+        """A point from complex coordinates derived from a validated point,
+        without the check: conjugating a coordinate keeps it off the axis."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coords", coords)
+        return p
+
     def __post_init__(self):
-        coords = tuple(complex(c) for c in self.coords)
+        coords = tuple([complex(c) for c in self.coords])
         object.__setattr__(self, "coords", coords)
         n = len(coords)
         if n < 1:
@@ -72,6 +86,8 @@ class CutPlanePoint:
                 f"dimension {n} exceeds the maximum {MAX_DIMENSION}"
             )
         for j, c in enumerate(coords):
+            if not cmath.isfinite(c):
+                raise InvalidPointError(f"coordinate {j + 1} = {c} is not finite")
             if abs(c.imag) < MIN_IMAG:
                 raise InvalidPointError(
                     f"coordinate {j + 1} = {c} lies on the real axis"
@@ -113,6 +129,22 @@ def psi_map(B: frozenset, z: Sequence[complex], w: Sequence[complex]) -> tuple:
     )
 
 
+def _reflections(pairs: Sequence[tuple]) -> list:
+    """The coordinate tuples picking pairs[j][bit j of mask], in bitmask order."""
+    refls = [()]
+    for pair in pairs:
+        refls = [r + (c,) for c in pair for r in refls]
+    return refls
+
+
+def _signs(n: int) -> list:
+    """(-1)^|mask| for every mask of n bits, in bitmask order."""
+    signs = [1.0]
+    for _ in range(n):
+        signs = signs + [-s for s in signs]
+    return signs
+
+
 def symmetry_sum(f, z: Sequence[complex], within: int | None = None) -> complex:
     """sum over nonempty B within `within` of (-1)^(|B|+1) conj f(Psi_B(i*1, z)).
 
@@ -123,23 +155,20 @@ def symmetry_sum(f, z: Sequence[complex], within: int | None = None) -> complex:
     n = len(z)
     if within is None:
         within = (1 << n) - 1
+    refls = _reflections([(1j, c.conjugate()) for c in z])
+    signs = _signs(n)
     total = 0j
     for mask in range(1, 1 << n):
-        if mask & ~within:
-            continue
-        refl = tuple(z[j].conjugate() if mask >> j & 1 else 1j for j in range(n))
-        sign = 1.0 if mask.bit_count() & 1 else -1.0
-        total += sign * f(refl).conjugate()
+        if not mask & ~within:
+            total += -signs[mask] * f(refls[mask]).conjugate()
     return total
 
 
 def alternating_sum(f, z: Sequence[complex]) -> complex:
     """sum over all B of (-1)^|B| f(Psi_B(z, z)), in bitmask order."""
-    n = len(z)
+    refls = _reflections([(c, c.conjugate()) for c in z])
     total = 0j
-    for mask in range(1 << n):
-        refl = tuple(z[j].conjugate() if mask >> j & 1 else z[j] for j in range(n))
-        sign = -1.0 if mask.bit_count() & 1 else 1.0
+    for sign, refl in zip(_signs(len(z)), refls):
         total += sign * f(refl)
     return total
 

@@ -108,9 +108,9 @@ class HerglotzFunction:
         self._cauchy = CauchyTypeFunction(triple.mu, config)
 
     def evaluate(self, z) -> tuple:
-        zs = z.coords if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z)).coords
-        val, err = self._cauchy.evaluate(zs)
-        lin = self.triple.a + sum(b * c for b, c in zip(self.triple.b, zs))
+        p = z if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z))
+        val, err = self._cauchy.evaluate(p)
+        lin = self.triple.a + sum(b * c for b, c in zip(self.triple.b, p.coords))
         return lin + val, err
 
     def __call__(self, z) -> complex:
@@ -140,18 +140,18 @@ class ClosedFormFunction:
         return self(z), 0.0
 
     def __call__(self, z) -> complex:
-        p = z if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z))
-        if p.n != self.dimension:
+        zs = z.coords if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z)).coords
+        if len(zs) != self.dimension:
             raise InvalidArgumentError(
                 f"{self.name} is defined in dimension {self.dimension}"
             )
-        signs = tuple(1 if c.imag > 0 else -1 for c in p.coords)
+        signs = tuple([1 if c.imag > 0 else -1 for c in zs])
         branch = self.branches.get(signs)
         if branch is None:
             raise InvalidArgumentError(
                 f"{self.name} has no branch for component {signs}"
             )
-        return branch(*p.coords)
+        return branch(*zs)
 
 
 class UpperRestriction:

@@ -24,3 +24,20 @@ def random_cut_point(rng, n, signs=None):
 
 def random_upper_point(rng, n):
     return random_cut_point(rng, n, signs=[1] * n)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap `owner.name` for the test and record each call.
+
+    Returns the list of calls, in order, as (args, kwargs) pairs; the
+    wrapped attribute still does its work.  A method patched on its class
+    records the instance as args[0].
+    """
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls

@@ -10,6 +10,7 @@ from polyherglotz import (
     HerglotzFunction,
     HerglotzTriple,
     InvalidArgumentError,
+    InvalidPointError,
     LebesgueScaled,
     LimitConfig,
     MU2,
@@ -34,7 +35,7 @@ from polyherglotz import (
 from polyherglotz import analysis
 from polyherglotz.analysis import _spot_check_bound
 from polyherglotz.measures import boundary_hints
-from conftest import random_cut_point
+from conftest import count_calls, random_cut_point
 
 PI = math.pi
 
@@ -67,6 +68,32 @@ def test_limit_config_validation():
 def test_limit_config_rejects_nonpositive_steps(kwargs):
     with pytest.raises(InvalidArgumentError):
         LimitConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"y_sequence": (0.5, 1e-310)},
+        {"y_sequence": (math.inf, 0.5)},
+        {"y_sequence": (0.5, math.nan)},
+        {"radius_sequence": (8.0, math.inf)},
+        {"radius_sequence": (1e-301, 1.0)},
+        {"radius_sequence": (1e-299, 1.0), "stoltz_angle": 1e-2},
+        {"radius_sequence": ()},
+        {"y_sequence": ()},
+    ],
+)
+def test_limit_config_rejects_points_off_the_cut_plane(kwargs):
+    # every ladder and ray point must be a valid cut-plane point, because
+    # those points are built unchecked
+    with pytest.raises(InvalidArgumentError):
+        LimitConfig(**kwargs)
+
+
+@pytest.mark.parametrize("y", [0.0, 1e-310, -1e-310, math.inf, math.nan])
+def test_alternating_boundary_sum_checks_y(y):
+    with pytest.raises(InvalidPointError):
+        analysis.alternating_boundary_sum(catalogue("f2"), (0.3, -0.2), y)
 
 
 # --- symmetry --------------------------------------------------------------
@@ -214,6 +241,15 @@ def test_stoltz_zero_for_catalogue(rng):
     assert s.converged and abs(s.estimate) < 1e-6
 
 
+def test_stoltz_result_shape():
+    cfg = LimitConfig(radius_sequence=(4.0, 8.0, 16.0))
+    s = stoltz_limit(catalogue("f2"), 2, point(0.5 + 1.1j, 0.5 + 1.1j), cfg)
+    assert not hasattr(s, "__dict__")
+    assert type(s.samples) is tuple and len(s.samples) == 3
+    assert s.limits is cfg
+    assert s.config == {"angle": math.pi / 4, "radii": [4.0, 8.0, 16.0]}
+
+
 def test_stoltz_validation():
     base = point(1j, 1j)
     with pytest.raises(InvalidArgumentError):
@@ -339,14 +375,7 @@ def test_stieltjes_f2_rows_near_exact(monkeypatch):
     # the alternating boundary sum of a Cauchy-type function is the Poisson
     # integral of its measure, so against phi_cauchy(2) the f2 row at y is
     # the MU2 integral of prod (1+y)/(t^2+(1+y)^2), that is pi^2/(2(1+y))
-    calls = {}
-    boundary_sum = analysis.alternating_boundary_sum
-
-    def counting(g, x, y):
-        calls[y] = calls.get(y, 0) + 1
-        return boundary_sum(g, x, y)
-
-    monkeypatch.setattr(analysis, "alternating_boundary_sum", counting)
+    calls = count_calls(monkeypatch, analysis, "alternating_boundary_sum")
     ladder = (2.0**-5, 2.0**-6, 2.0**-7)
     res = stieltjes_cauchy_type(
         catalogue("f2"), phi_cauchy(2), LimitConfig(y_sequence=ladder)
@@ -355,4 +384,4 @@ def test_stieltjes_f2_rows_near_exact(monkeypatch):
         assert abs(raw - PI * PI / (2.0 * (1.0 + y))) < 5e-7, y
     # inner levels at the outer tolerance feed the outer axis noise that it
     # subdivides to chase: 651k boundary values at this step
-    assert calls[2.0**-6] < 150_000
+    assert sum(args[2] == 2.0**-6 for args, _ in calls) < 150_000

@@ -144,6 +144,24 @@ def test_invert_cli_1d(tmp_path, capsys):
     assert len(lines) == 11
 
 
+@pytest.mark.parametrize("text", ["nan+nani,1i", "1e999i,1i", "1i,2+nani"])
+def test_eval_rejects_non_finite_points(text, capsys):
+    assert main(["eval", "--fn", "catalogue:f2", "--point", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "limits", [{"y_sequence": []}, {"y_sequence": [0.5, 1e-310]}, {"radius_sequence": []}]
+)
+def test_invert_rejects_limits_off_the_cut_plane(limits, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"limits": limits}))
+    argv = ["invert", "--fn", "cauchy:lebesgue1", "--phi", "cauchy1d", "--config", str(config)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_errors(capsys):
     assert main(["eval", "--fn", "catalogue:f2", "--point", "1,2"]) == 2  # real coords
     assert main(["eval", "--fn", "catalogue:f9", "--point", "i,i"]) == 2

@@ -26,6 +26,28 @@ def test_point_rejects_real_coordinates():
         point(2j, 3.0 + 0j)
 
 
+@pytest.mark.parametrize(
+    "coords",
+    [
+        (complex("nan+nanj"), 1j),
+        (complex(float("nan"), 1.0),),
+        (1j, complex(0.0, float("inf"))),
+        (complex(float("-inf"), -2.0), 1j),
+    ],
+)
+def test_point_rejects_non_finite_coordinates(coords):
+    with pytest.raises(InvalidPointError, match="not finite"):
+        CutPlanePoint(coords)
+
+
+def test_unchecked_point_matches_validated():
+    coords = (0.5 + 1j, -2.0 - 0.25j)
+    p = CutPlanePoint._unchecked(coords)
+    assert p == CutPlanePoint(coords) and hash(p) == hash(CutPlanePoint(coords))
+    assert p.coords is coords and p.signature().signs == (1, -1)
+    assert not hasattr(p, "__dict__")
+
+
 def test_point_rejects_empty():
     with pytest.raises(InvalidPointError):
         CutPlanePoint(())

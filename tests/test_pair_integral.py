@@ -31,6 +31,7 @@ from polyherglotz.measures import (
     rational_density,
 )
 from polyherglotz.quadrature import integrate_line
+from conftest import count_calls
 
 
 def pair(p, q, t):
@@ -200,13 +201,7 @@ def test_curve_residual_matches_rho_by_rho_oracle():
     [MU2, CurvePushforward((1.0, 0.0, -2.0), (0.3, -0.5, 1.0), cauchy_weight()), F4_DEFINING_MEASURE],
 )
 def test_curve_residual_runs_no_quadrature(monkeypatch, mu):
-    calls, integrate_line = [], measures.integrate_line
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return integrate_line(*args, **kwargs)
-
-    monkeypatch.setattr(measures, "integrate_line", counting)
+    calls = count_calls(monkeypatch, measures, "integrate_line")
     assert math.isfinite(abs(nevanlinna_residual(mu, point(*[0.5 + 1j] * mu.dimension))))
     assert calls == []
 

@@ -5,27 +5,17 @@ variable non-dependence checks, the symmetric-extension characterization,
 reconstruction from upper-half-plane data, and Stieltjes inversion.
 """
 
-from .core import (
-    ComponentSignature,
-    CutPlanePoint,
-    enumerate_subsets,
-    point,
-    psi_map,
-    psi_point,
-    signature_of,
-)
+from .core import CutPlanePoint, point
 from .errors import (
     DivergenceError,
     InvalidArgumentError,
     InvalidMeasureError,
     InvalidPointError,
-    PoleError,
     PolyherglotzError,
     TestFunctionBoundError,
     UnknownCatalogueIdError,
 )
 from .kernels import (
-    a_factor,
     kernel_K,
     kernel_K1_closed,
     kernel_symmetry_residual,
@@ -62,10 +52,8 @@ from .functions import (
     HerglotzTriple,
     catalogue,
     evaluate_cauchy,
-    evaluate_herglotz_sym,
     function_from_dict,
     function_from_json,
-    herglotz_imag_lower_bound_probe,
     restrict_to_upper,
 )
 from .analysis import (

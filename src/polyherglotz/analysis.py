@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -21,7 +20,6 @@ import numpy as np
 from .core import MIN_IMAG, CutPlanePoint, alternating_sum, symmetry_sum
 from .errors import InvalidArgumentError, InvalidPointError, TestFunctionBoundError
 from .quadrature import QuadratureConfig, integrate_rn
-from .functions import _probe_points
 from .measures import boundary_hints
 
 DEFAULT_SEED = 1729
@@ -81,9 +79,6 @@ class CheckReport:
             ],
             "config": self.config,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def richardson_tableau(values: Sequence[complex], ratio: float = 2.0, order: int = 2):
@@ -208,6 +203,26 @@ def _nondependence_samples(f, probes: int):
                     yield pt, abs(value - first)
                 else:
                     first = value
+
+
+def _probe_points(n: int, samples: int, seed: int):
+    """A deterministic C+^n grid, then `samples` seeded log-uniform points."""
+    if n <= 2:
+        res = (-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 4.0)
+        ims = (0.1, 0.5, 1.0, 2.0, 4.0)
+    else:
+        res = (-2.0, 0.0, 2.0)
+        ims = (0.1, 1.0)
+    axis = [complex(x, y) for x in res for y in ims]
+    for coords in itertools.product(axis, repeat=n):
+        yield CutPlanePoint(coords)
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        coords = tuple(
+            complex(rng.uniform(-6, 6), math.exp(rng.uniform(math.log(0.05), math.log(10))))
+            for _ in range(n)
+        )
+        yield CutPlanePoint(coords)
 
 
 def positivity_check(

@@ -20,8 +20,6 @@ from .functions import catalogue, function_from_dict
 from .measures import MU2, measure_from_dict, measure_to_dict
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
-DEFAULT_SEED = 1729
-
 
 def parse_complex(text: str) -> complex:
     """Parse 'a+bi' literals; 'i', '-i', '4i', '1.5-0.5i' all work."""
@@ -158,7 +156,7 @@ def cmd_eval(args) -> int:
         "point": [format_complex(c) for c in p.coords],
         "value": format_complex(val),
         "error_estimate": err,
-        "signature": list(p.signature().signs),
+        "signature": [1 if c.imag > 0 else -1 for c in p.coords],
     }
     print(format_complex(val))
     _emit(json.dumps(record, sort_keys=True), args.out)
@@ -208,12 +206,8 @@ EXPECTED_CONDITION_MATRIX = {
     "f7": (True, True, True),
 }
 
-_TABLE1_POINTS = {
-    (1, 1): "2i,3i",
-    (-1, 1): "-2i,3i",
-    (1, -1): "2i,-3i",
-    (-1, -1): "-2i,-3i",
-}
+# One point per connected component of the two-variable cut-plane.
+_TABLE1_POINTS = ("2i,3i", "-2i,3i", "2i,-3i", "-2i,-3i")
 
 
 def cmd_reproduce_tables(args) -> int:
@@ -223,7 +217,7 @@ def cmd_reproduce_tables(args) -> int:
         fid = f"f{k}"
         f = catalogue(fid)
         row = {}
-        for signs, ptext in _TABLE1_POINTS.items():
+        for ptext in _TABLE1_POINTS:
             p = parse_point(ptext)
             row[ptext] = format_complex(f(p))
         table1[fid] = row
@@ -307,7 +301,7 @@ def cmd_invert(args) -> int:
 # it reads, so an unread one is a usage error.
 _OPTIONS = {
     "out": {"help": "write the JSON/CSV report here instead of stdout"},
-    "seed": {"type": int, "default": DEFAULT_SEED},
+    "seed": {"type": int, "default": analysis.DEFAULT_SEED},
     "config": {"help": "JSON file with quadrature/limit overrides"},
     "tol": {"type": float, "default": None},
 }

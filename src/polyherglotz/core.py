@@ -1,4 +1,4 @@
-"""Value types for the poly cut-plane and the selective-conjugation map.
+"""Value types for the poly cut-plane and the selective-conjugation sums.
 
 A point of the cut-plane is an n-tuple of finite complex coordinates, each
 with strictly nonzero imaginary part.  A point is validated once, where it
@@ -6,19 +6,24 @@ enters the library: `CutPlanePoint` checks its coordinates on construction
 and rejects real, NaN and infinite ones.  Points derived from a validated
 one (its reflections, and the Stieltjes ladder and Stoltz ray points whose
 parameters `analysis.LimitConfig` checks) are built unchecked through
-`CutPlanePoint._unchecked`.  The cut-plane splits into 2^n connected
-components indexed by the sign pattern of the imaginary parts; most of the
-combinatorics downstream runs over subsets of {1, ..., n} in bitmask order,
-through the two reflection sums defined here: `symmetry_sum` (the symmetry
-formula and its reduced form used for reconstruction) and `alternating_sum`
-(the alternating sum behind Stieltjes inversion).
+`CutPlanePoint._unchecked`.
+
+The cut-plane splits into 2^n connected components indexed by the sign
+pattern of the imaginary parts.  The selective conjugation Psi_B(w, z)
+keeps w_j for j outside B and takes conj(z_j) for j in B.  The library never builds
+Psi_B on its own: a subset B of {1, ..., n} is a bitmask (bit j for
+coordinate j + 1), and the two reflection sums defined here run over every
+B in bitmask order, so their floating-point sums are reproducible bit for
+bit.  `symmetry_sum` carries the symmetry formula and its reduced form used
+for reconstruction, and `alternating_sum` the alternating sum behind
+Stieltjes inversion.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InvalidArgumentError, InvalidPointError
 
@@ -27,38 +32,6 @@ MAX_DIMENSION = 8
 
 #: Coordinates closer to the real axis than this are rejected as on-the-cut.
 MIN_IMAG = 1e-300
-
-
-def validate_index_set(members: frozenset, n: int) -> frozenset:
-    members = frozenset(members)
-    for j in members:
-        if not isinstance(j, int) or j < 1 or j > n:
-            raise InvalidArgumentError(
-                f"index set {sorted(members)} not contained in {{1..{n}}}"
-            )
-    return members
-
-
-@dataclass(frozen=True)
-class ComponentSignature:
-    """Sign pattern of imaginary parts, identifying a connected component."""
-
-    signs: tuple
-
-    def __post_init__(self):
-        if not self.signs or any(s not in (-1, 1) for s in self.signs):
-            raise InvalidArgumentError("signature entries must be +1 or -1")
-
-    @property
-    def n(self) -> int:
-        return len(self.signs)
-
-    def lower_index_set(self) -> frozenset:
-        """B' = indices whose coordinate lies in the lower half-plane."""
-        return frozenset(j + 1 for j, s in enumerate(self.signs) if s == -1)
-
-    def is_upper(self) -> bool:
-        return all(s == 1 for s in self.signs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,9 +70,6 @@ class CutPlanePoint:
     def n(self) -> int:
         return len(self.coords)
 
-    def signature(self) -> ComponentSignature:
-        return ComponentSignature(tuple(1 if c.imag > 0 else -1 for c in self.coords))
-
     def is_upper(self) -> bool:
         return all(c.imag > 0 for c in self.coords)
 
@@ -107,26 +77,6 @@ class CutPlanePoint:
 def point(*coords) -> CutPlanePoint:
     """Convenience constructor: point(1j, 2+3j)."""
     return CutPlanePoint(tuple(coords))
-
-
-def signature_of(p: CutPlanePoint) -> ComponentSignature:
-    if not isinstance(p, CutPlanePoint):
-        p = CutPlanePoint(tuple(p))
-    return p.signature()
-
-
-def psi_map(B: frozenset, z: Sequence[complex], w: Sequence[complex]) -> tuple:
-    """Selective conjugation: keep z_j for j not in B, take conj(w_j) for j in B."""
-    z = tuple(complex(c) for c in z)
-    w = tuple(complex(c) for c in w)
-    if len(z) != len(w):
-        raise InvalidArgumentError(
-            f"vector lengths differ: {len(z)} vs {len(w)}"
-        )
-    B = validate_index_set(B, len(z))
-    return tuple(
-        w[j].conjugate() if (j + 1) in B else z[j] for j in range(len(z))
-    )
 
 
 def _reflections(pairs: Sequence[tuple]) -> list:
@@ -171,39 +121,3 @@ def alternating_sum(f, z: Sequence[complex]) -> complex:
     for sign, refl in zip(_signs(len(z)), refls):
         total += sign * f(refl)
     return total
-
-
-def psi_point(B: frozenset, z: CutPlanePoint, w: CutPlanePoint) -> CutPlanePoint:
-    return CutPlanePoint(psi_map(B, z.coords, w.coords))
-
-
-def _mask_to_set(mask: int, n: int) -> frozenset:
-    return frozenset(j + 1 for j in range(n) if mask >> j & 1)
-
-
-def enumerate_subsets(
-    n: int, filter: str = "all", bprime: frozenset | None = None
-) -> Iterator[frozenset]:
-    """Enumerate subsets of {1..n} in bitmask-lexicographic order.
-
-    Filters: "all", "nonempty", "subsets_of" (of bprime), "not_subsets_of".
-    The fixed order keeps floating-point subset sums bit-for-bit reproducible.
-    """
-    if n < 1:
-        raise InvalidArgumentError("dimension must be >= 1")
-    if filter in ("subsets_of", "not_subsets_of"):
-        if bprime is None:
-            raise InvalidArgumentError(f"filter {filter!r} requires bprime")
-        bprime = validate_index_set(bprime, n)
-    elif filter not in ("all", "nonempty"):
-        raise InvalidArgumentError(f"unknown subset filter {filter!r}")
-
-    for mask in range(1 << n):
-        s = _mask_to_set(mask, n)
-        if filter == "nonempty" and not s:
-            continue
-        if filter == "subsets_of" and not s <= bprime:
-            continue
-        if filter == "not_subsets_of" and s <= bprime:
-            continue
-        yield s

@@ -6,7 +6,7 @@ class PolyherglotzError(Exception):
 
 
 class InvalidArgumentError(PolyherglotzError, ValueError):
-    """Malformed input: dimension mismatch, bad index set, bad id, ..."""
+    """Malformed input: dimension mismatch, bad id, bad parameter, ..."""
 
 
 class InvalidPointError(InvalidArgumentError):
@@ -19,10 +19,6 @@ class InvalidMeasureError(InvalidArgumentError):
 
 class UnknownCatalogueIdError(InvalidArgumentError):
     """Requested catalogue entry does not exist."""
-
-
-class PoleError(PolyherglotzError, ZeroDivisionError):
-    """Evaluation requested exactly at a pole."""
 
 
 class DivergenceError(PolyherglotzError):

@@ -1,10 +1,13 @@
 """Evaluable functions on the poly cut-plane.
 
 Three families share one calling convention (``f(point) -> complex`` with
-``f.dimension``): Cauchy-type functions defined by a measure, Herglotz
-functions given by a representing triple (a, b, mu) and extended
-symmetrically to the whole cut-plane, and the closed-form two-variable
-example catalogue f0..f7.
+``f.dimension``, and ``f.evaluate(point) -> (value, error estimate)``):
+Cauchy-type functions defined by a measure, Herglotz functions given by a
+representing triple (a, b, mu) and extended symmetrically to the whole
+cut-plane, and the closed-form two-variable example catalogue f0..f7,
+whose branches are keyed by the sign pattern of the imaginary parts.
+`restrict_to_upper` views any of them on C+^n only, and
+`function_from_dict` builds one from its JSON descriptor.
 
 A Cauchy-type function integrates K_n = i(2 prod A(z_l, t_l) - prod A(i, t_l))
 against its measure.  A(z, .) is the pole pair (z, -i), so both products
@@ -22,12 +25,9 @@ it (`measures.boundary_hints`).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import CutPlanePoint
 from .errors import InvalidArgumentError, UnknownCatalogueIdError
@@ -117,14 +117,8 @@ class HerglotzFunction:
         return self.evaluate(z)[0]
 
 
-def evaluate_herglotz_sym(
-    triple: HerglotzTriple, z, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> complex:
-    return HerglotzFunction(triple, cfg)(z)
-
-
 class ClosedFormFunction:
-    """Per-component closed forms, keyed by signature.
+    """Per-component closed forms, keyed by the sign pattern of Im z.
 
     Evaluation refuses points whose component has no branch; the catalogue
     entries define all four components of the two-variable cut-plane.
@@ -248,8 +242,6 @@ _CATALOGUE_MEASURES = {
     "f4": F4_DEFINING_MEASURE,
 }
 
-CATALOGUE_IDS = tuple(sorted(_CATALOGUE_SPECS))
-
 
 def catalogue(fid: str) -> ClosedFormFunction:
     """The eight two-variable example functions, as exact closed forms."""
@@ -270,34 +262,6 @@ F4_NEVANLINNA_MEASURE = MeasureSum(
         ProductDensity((constant_density(1.0), DensityDescriptor("cauchy_weight"))),
     )
 )
-
-
-def _probe_points(n: int, samples: int, seed: int):
-    """A deterministic C+^n grid, then `samples` seeded log-uniform points."""
-    if n <= 2:
-        res = (-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 4.0)
-        ims = (0.1, 0.5, 1.0, 2.0, 4.0)
-    else:
-        res = (-2.0, 0.0, 2.0)
-        ims = (0.1, 1.0)
-    axis = [complex(x, y) for x in res for y in ims]
-    for coords in itertools.product(axis, repeat=n):
-        yield CutPlanePoint(coords)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        coords = tuple(
-            complex(rng.uniform(-6, 6), math.exp(rng.uniform(math.log(0.05), math.log(10))))
-            for _ in range(n)
-        )
-        yield CutPlanePoint(coords)
-
-
-def herglotz_imag_lower_bound_probe(f, samples: int = 200, seed: int = 1729) -> float:
-    """Minimum of Im f over a deterministic C+^n grid plus seeded random points."""
-    best = math.inf
-    for p in _probe_points(f.dimension, samples, seed):
-        best = min(best, f(p).imag)
-    return best
 
 
 # ---------------------------------------------------------------------------

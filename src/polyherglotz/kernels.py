@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import core
 from .core import CutPlanePoint
-from .errors import InvalidArgumentError, InvalidPointError, PoleError
+from .errors import InvalidArgumentError, InvalidPointError
 
 
 def _pair(p, q, t):
@@ -89,15 +89,6 @@ def n_factor(rho: int, z: complex, t: float) -> complex:
     if z.imag == 0.0:
         raise InvalidPointError("z must be nonreal")
     return _pair(*_n_pairs(z)[rho + 1], float(t))
-
-
-def a_factor(z: complex, t: float) -> complex:
-    """A(z, t) = (1/2i)(1/(t-z) - 1/(t+i)); also accepts the ambient z = i."""
-    z = complex(z)
-    t = float(t)
-    if z.imag == 0.0 and t == z.real:
-        raise PoleError(f"A(z, t) has a pole at t = z = {t}")
-    return _pair(z, -1j, t)
 
 
 def poisson(z, t) -> float:

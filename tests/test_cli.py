@@ -67,6 +67,9 @@ def test_eval_golden(capsys, tmp_path):
     rec = json.loads(out.read_text())
     assert rec["signature"] == [1, 1]
     assert parse_complex(rec["value"]) == parse_complex(printed)
+    for ptext, signs in (("-2i,3i", [-1, 1]), ("-i,-i", [-1, -1])):
+        assert main(["eval", "--fn", "catalogue:f2", f"--point={ptext}", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["signature"] == signs
 
 
 def test_eval_lower_point(capsys):

@@ -72,7 +72,8 @@ def oracle_boundary_sum(g, x, y):
 
 
 def oracle_reconstruct(f_upper, z):
-    bprime = z.signature().lower_index_set()
+    # B' = the axes whose coordinate lies in the lower half-plane
+    bprime = [j + 1 for j, c in enumerate(z.coords) if c.imag < 0]
     within = sum(1 << (j - 1) for j in bprime)
     return oracle_symmetry_sum(_validated(f_upper), z.coords, within)
 

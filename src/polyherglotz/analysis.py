@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -24,23 +25,35 @@ from .measures import boundary_hints
 
 DEFAULT_SEED = 1729
 
+#: Richardson extrapolation removes this many error terms in the step.
+_EXTRAPOLATION_ORDER = 2
+
 
 @dataclass(frozen=True)
 class LimitConfig:
     """The Stoltz rays and the Stieltjes y ladder.
 
-    The checks make every ray point r*e^(+-i*angle) and every ladder point
-    x + iy a valid cut-plane point, so those are built unchecked.
+    The ladders may shrink their steps by any ratio: the extrapolation reads
+    the steps themselves.  The checks make every ray point r*e^(+-i*angle)
+    and every ladder point x + iy a valid cut-plane point, so those are
+    built unchecked.
     """
 
     stoltz_angle: float = math.pi / 4
     radius_sequence: tuple = tuple(2.0**k for k in range(3, 13))
     y_sequence: tuple = tuple(2.0**-k for k in range(1, 11))
-    extrapolation_order: int = 2
 
     def __post_init__(self):
-        if not 0 < self.stoltz_angle <= math.pi / 2:
+        a = self.stoltz_angle
+        if not (isinstance(a, numbers.Real) and 0 < a <= math.pi / 2):
             raise InvalidArgumentError("stoltz angle must lie in (0, pi/2]")
+        for name in ("radius_sequence", "y_sequence"):
+            seq = getattr(self, name)
+            if not isinstance(seq, (tuple, list)) or not all(
+                isinstance(v, numbers.Real) for v in seq
+            ):
+                raise InvalidArgumentError(f"{name} must be a list of numbers")
+            object.__setattr__(self, name, tuple(seq))
         r = self.radius_sequence
         if not r or not self.y_sequence:
             raise InvalidArgumentError("radius and y sequences must not be empty")
@@ -81,18 +94,43 @@ class CheckReport:
         }
 
 
-def richardson_tableau(values: Sequence[complex], ratio: float = 2.0, order: int = 2):
-    """Columns of the Richardson tableau for a step sequence shrinking by `ratio`."""
+def richardson_tableau(values: Sequence[complex], h: Sequence[float], order: int):
+    """Columns 0..order (fewer on a short ladder) of the Richardson tableau
+    of `values` taken at the decreasing steps h -> 0.
+
+    Column m is the Neville step (h_i*b - h_(i+m)*a) / (h_i - h_(i+m)) on
+    neighbours a, b of column m - 1; where the steps halve in powers of two
+    it is (2^m*b - a) / (2^m - 1) to the bit.
+    """
+    if len(h) != len(values):
+        raise InvalidArgumentError("the tableau needs one step per value")
     cols = [list(values)]
     for m in range(1, order + 1):
         prev = cols[-1]
         if len(prev) < 2:
             break
-        fac = ratio**m
         cols.append(
-            [(fac * prev[i + 1] - prev[i]) / (fac - 1.0) for i in range(len(prev) - 1)]
+            [(b * hi - a * hm) / (hi - hm) for a, b, hi, hm in zip(prev, prev[1:], h, h[m:])]
         )
     return cols
+
+
+def _extrapolate(values: Sequence[complex], steps: Sequence[float], conv_tol: float):
+    """The running extrapolants of a ladder (after step k, column
+    min(k, order) of the one tableau) and whether it converged: it has at
+    least order + 2 steps and its last two full-order extrapolants agree
+    within `conv_tol`."""
+    order = _EXTRAPOLATION_ORDER
+    cols = richardson_tableau(values, steps, order)
+    running = [col[0] for col in cols[:-1]] + cols[-1]
+    top = cols[-1]
+    converged = len(values) >= order + 2 and abs(top[-1] - top[-2]) <= conv_tol
+    return running, converged
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def _on_coords(f):
@@ -134,6 +172,7 @@ def _sampled_report(samples, tol: float, config: dict) -> CheckReport:
     The check passes when no residual exceeds `tol`; its witnesses are up
     to five samples over `tol`, worst first (ties in sampling order).
     """
+    _check_tol(tol)
     worst = 0.0
     over = []
     for z, r in samples:
@@ -145,23 +184,22 @@ def _sampled_report(samples, tol: float, config: dict) -> CheckReport:
     return CheckReport("pass" if worst <= tol else "fail", worst, tol, over[:5], config)
 
 
-def symmetry_check(
-    f,
-    points_per_component: int = 50,
-    tol: float = 1e-9,
-    seed: int = DEFAULT_SEED,
-) -> CheckReport:
-    """Sample the symmetry formula on every connected component."""
+_POINTS_PER_COMPONENT = 50
+
+
+def symmetry_check(f, tol: float = 1e-9, seed: int = DEFAULT_SEED) -> CheckReport:
+    """Sample the symmetry formula at 50 seeded points on every connected
+    component."""
     rng = np.random.default_rng(seed)
     points = (
         _random_point(rng, signs)
         for signs in itertools.product((1, -1), repeat=f.dimension)
-        for _ in range(points_per_component)
+        for _ in range(_POINTS_PER_COMPONENT)
     )
     return _sampled_report(
         ((z, symmetry_residual(f, z)) for z in points),
         tol,
-        {"points_per_component": points_per_component, "seed": seed},
+        {"points_per_component": _POINTS_PER_COMPONENT, "seed": seed},
     )
 
 
@@ -169,21 +207,16 @@ _LOWER_BASES = (-0.5 - 0.8j, 1.3 - 0.45j, -2.1 - 2.2j)
 _UPPER_PROBES = (0.3 + 0.7j, -1.1 + 1.5j, 2.2 + 0.2j, 0.05 + 3.0j, -2.5 + 0.6j)
 
 
-def nondependence_test(f, probes: int = 5, tol: float = 1e-9) -> CheckReport:
+def nondependence_test(f, tol: float = 1e-9) -> CheckReport:
     """Check that values with some coordinate in C- ignore the C+ coordinates.
 
     For each mixed signature the lower coordinates are fixed at deterministic
-    samples while the upper ones sweep `probes` values; each sample is the
-    deviation of f from its value at the first probe.  `probes` runs from
-    1 to the five fixed upper probes.  For n = 1 there is no mixed
-    signature, so the check passes vacuously.
+    samples while the upper ones sweep the five fixed probes; each sample is
+    the deviation of f from its value at the first probe.  For n = 1 there
+    is no mixed signature, so the check passes vacuously.
     """
-    if not 1 <= probes <= len(_UPPER_PROBES):
-        raise InvalidArgumentError(
-            f"probes must lie in 1..{len(_UPPER_PROBES)}, got {probes!r}"
-        )
-    samples = _nondependence_samples(f, probes)
-    return _sampled_report(samples, tol, {"probes": probes})
+    probes = len(_UPPER_PROBES)
+    return _sampled_report(_nondependence_samples(f, probes), tol, {"probes": probes})
 
 
 def _nondependence_samples(f, probes: int):
@@ -225,19 +258,17 @@ def _probe_points(n: int, samples: int, seed: int):
         yield CutPlanePoint(coords)
 
 
-def positivity_check(
-    f,
-    samples: int = 200,
-    tol: float = 1e-12,
-    seed: int = DEFAULT_SEED,
-) -> CheckReport:
-    """Sampled Im f >= 0 on C+^n; a point's residual is max(0, -Im f), so
-    roundoff below `tol` passes."""
-    points = _probe_points(f.dimension, samples, seed)
+_POSITIVITY_SAMPLES = 200
+
+
+def positivity_check(f, tol: float = 1e-12, seed: int = DEFAULT_SEED) -> CheckReport:
+    """Sampled Im f >= 0 on C+^n, on a grid and 200 seeded points; a point's
+    residual is max(0, -Im f), so roundoff below `tol` passes."""
+    points = _probe_points(f.dimension, _POSITIVITY_SAMPLES, seed)
     return _sampled_report(
         ((p, max(0.0, -complex(f(p)).imag)) for p in points),
         tol,
-        {"samples": samples, "seed": seed},
+        {"samples": _POSITIVITY_SAMPLES, "seed": seed},
     )
 
 
@@ -289,22 +320,8 @@ class StoltzResult:
 
 _ALT_BASE_COORDS = (0.7 + 1.1j, -1.3 + 0.6j, 0.4 - 0.9j, -2.0 - 1.7j)
 
-
-def _limit_along_ray(f, j, base_coords, cfg, direction, conv_tol):
-    phase = cmath.exp(1j * cfg.stoltz_angle)
-    if direction == "lower":
-        phase = phase.conjugate()
-    g = _on_coords(f)
-    head, tail = base_coords[:j], base_coords[j + 1 :]
-    values = []
-    for r in cfg.radius_sequence:
-        zj = r * phase
-        values.append(g(head + (zj,) + tail) / zj)
-    cols = richardson_tableau(values, 2.0, cfg.extrapolation_order)
-    top = cols[-1]
-    est = top[-1]
-    converged = len(top) >= 2 and abs(top[-1] - top[-2]) <= conv_tol
-    return est, converged, values
+#: A ray converged when its last two extrapolants agree within this.
+_STOLTZ_TOL = 1e-7
 
 
 def stoltz_limit(
@@ -313,14 +330,13 @@ def stoltz_limit(
     base: CutPlanePoint,
     cfg: LimitConfig = DEFAULT_LIMITS,
     direction: str = "upper",
-    conv_tol: float = 1e-7,
     base_alternates: int = 3,
 ) -> StoltzResult:
     """Estimate lim f(z)/z_j as z_j goes to infinity in a Stoltz sector.
 
-    `j` is 1-based.  The estimate is Richardson-extrapolated along the
-    radius sequence; alternate bases probe independence from the non-j
-    coordinates.
+    `j` is 1-based.  The estimate is Richardson-extrapolated in the steps
+    1/r of the radius sequence; alternate bases probe independence from
+    the non-j coordinates.
     """
     if direction not in ("upper", "lower"):
         raise InvalidArgumentError("direction must be 'upper' or 'lower'")
@@ -330,30 +346,28 @@ def stoltz_limit(
     jj = j - 1
     if not isinstance(base, CutPlanePoint):
         base = CutPlanePoint(tuple(base))
-    base_coords = base.coords
-    est, converged, values = _limit_along_ray(
-        f, jj, base_coords, cfg, direction, conv_tol
-    )
-    spread = 0.0
-    for k in range(base_alternates):
-        alt = tuple(
-            base_coords[i]
-            if i == jj
-            else _ALT_BASE_COORDS[(k + i) % len(_ALT_BASE_COORDS)]
-            for i in range(n)
-        )
-        alt_est, alt_conv, _ = _limit_along_ray(f, jj, alt, cfg, direction, conv_tol)
-        converged = converged and alt_conv
-        spread = max(spread, abs(alt_est - est))
-    return StoltzResult(
-        est,
-        converged,
-        direction,
-        j,
-        spread,
-        tuple(values),
-        cfg,
-    )
+    phase = cmath.exp(1j * cfg.stoltz_angle)
+    if direction == "lower":
+        phase = phase.conjugate()
+    # the ray and its steps 1/r are shared by the base and its alternates
+    ray = [r * phase for r in cfg.radius_sequence]
+    steps = [1.0 / r for r in cfg.radius_sequence]
+    g = _on_coords(f)
+    alts = _ALT_BASE_COORDS
+    bases = [base.coords] + [
+        tuple(base.coords[i] if i == jj else alts[(k + i) % len(alts)] for i in range(n))
+        for k in range(base_alternates)
+    ]
+    limits = []  # (estimate, converged, f(z)/z_j along the ray) per base
+    for coords in bases:
+        head, tail = coords[:jj], coords[jj + 1 :]
+        values = [g(head + (zj,) + tail) / zj for zj in ray]
+        running, converged = _extrapolate(values, steps, _STOLTZ_TOL)
+        limits.append((running[-1], converged, values))
+    est, _, values = limits[0]
+    spread = max([0.0] + [abs(e - est) for e, _, _ in limits[1:]])
+    converged = all(c for _, c, _ in limits)
+    return StoltzResult(est, converged, direction, j, spread, tuple(values), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +401,25 @@ class CharacterizeResult:
         return out
 
 
+#: The Stoltz base of `characterize` has this value on every axis.
+_CHARACTERIZE_BASE = 0.5 + 1.1j
+#: Linear growth below this is 0; directions or bases that differ by more fail.
+_D_TOL = 1e-5
+
+
 def characterize(
-    f,
-    cfg: LimitConfig = DEFAULT_LIMITS,
-    base: CutPlanePoint | None = None,
-    d_tol: float = 1e-5,
-    sym_tol: float = 1e-9,
-    nondep_tol: float = 1e-9,
-    pos_tol: float = 1e-12,
-    seed: int = DEFAULT_SEED,
+    f, cfg: LimitConfig = DEFAULT_LIMITS, seed: int = DEFAULT_SEED
 ) -> CharacterizeResult:
     """Decide whether f is the symmetric extension of a Herglotz function.
 
     Extracts the linear growth d_j from both Stoltz directions (gating
     step), then checks sampled positivity on f and symmetry plus variable
-    non-dependence on f - sum d_j z_j.  Any inconclusive sub-check makes
-    the overall verdict inconclusive, never pass.
+    non-dependence on f - sum d_j z_j, each at its default tolerance.  Any
+    inconclusive sub-check makes the overall verdict inconclusive, never
+    pass.
     """
     n = f.dimension
-    if base is None:
-        base = CutPlanePoint((0.5 + 1.1j,) * n)
+    base = CutPlanePoint((_CHARACTERIZE_BASE,) * n)
     d = []
     limit_info = {}
     gate_fail = False
@@ -427,22 +440,22 @@ def characterize(
         mismatch = abs(up.estimate - low.estimate)
         spread = max(up.base_spread, low.base_spread)
         dj = 0.5 * (up.estimate + low.estimate)
-        if mismatch > d_tol or spread > d_tol or abs(dj.imag) > d_tol:
+        if mismatch > _D_TOL or spread > _D_TOL or abs(dj.imag) > _D_TOL:
             gate_fail = True
             d.append(dj.real)
             continue
-        d.append(0.0 if abs(dj.real) < d_tol else dj.real)
+        d.append(0.0 if abs(dj.real) < _D_TOL else dj.real)
     if gate_inconclusive:
         return CharacterizeResult("inconclusive", tuple(d), {"limits": limit_info})
-    if gate_fail or any(dj < -d_tol for dj in d):
+    if gate_fail or any(dj < -_D_TOL for dj in d):
         return CharacterizeResult("fail", tuple(d), {"limits": limit_info})
 
     shifted = f if all(dj == 0.0 for dj in d) else _LinearlyShifted(f, d)
     reports = {
         "limits": limit_info,
-        "positivity": positivity_check(f, tol=pos_tol, seed=seed),
-        "symmetry": symmetry_check(shifted, tol=sym_tol, seed=seed),
-        "nondependence": nondependence_test(shifted, tol=nondep_tol),
+        "positivity": positivity_check(f, seed=seed),
+        "symmetry": symmetry_check(shifted, seed=seed),
+        "nondependence": nondependence_test(shifted),
     }
     sub = [reports["positivity"], reports["symmetry"], reports["nondependence"]]
     if any(r.verdict == "inconclusive" for r in sub):
@@ -496,8 +509,8 @@ def phi_gaussian(n: int, sigma: float = 1.0) -> TestFunction:
     return TestFunction(f"gauss{n}d", n, d1**n, func)
 
 
-def _spot_check_bound(phi: TestFunction, seed: int = DEFAULT_SEED) -> None:
-    rng = np.random.default_rng(seed)
+def _spot_check_bound(phi: TestFunction) -> None:
+    rng = np.random.default_rng(DEFAULT_SEED)
     grid = [-50.0, -5.0, -1.0, -0.1, 0.0, 0.1, 1.0, 5.0, 50.0]
     pts = [(g,) * phi.dimension for g in grid]
     for _ in range(200):
@@ -534,32 +547,18 @@ class InversionResult:
         }
 
 
-_INVERSION_QUAD = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7, max_subdivisions=2000)
-
-
-def _limit_in_y(raw_values, y_sequence, order, conv_tol):
-    rows = []
-    extrapolants = []
-    for k, (y, v) in enumerate(zip(y_sequence, raw_values)):
-        cols = richardson_tableau(raw_values[: k + 1], 2.0, min(k, order))
-        ext = cols[-1][-1]
-        extrapolants.append(ext)
-        rows.append((y, v, ext))
-    converged = (
-        len(extrapolants) >= 2
-        and abs(extrapolants[-1] - extrapolants[-2]) <= conv_tol
-    )
-    return extrapolants[-1], rows, converged
+_INVERSION_QUAD = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7)
 
 
 def _stieltjes(f, boundary, phi, cfg, quad, conv_tol, mode) -> InversionResult:
     """Integrate phi(x) * boundary(x, y) over R^n on the y ladder and
-    extrapolate to y -> 0+.  The quadrature hints are the spikes of
-    `measures.boundary_hints` for the function's `measure`, when it has
-    one."""
+    extrapolate in the steps y to y -> 0+.  The quadrature hints are the
+    spikes of `measures.boundary_hints` for the function's `measure`, when
+    it has one."""
     n = phi.dimension
     if f.dimension != n:
         raise InvalidArgumentError("test function and function dimensions differ")
+    _check_tol(conv_tol)
     _spot_check_bound(phi)
     mu = getattr(f, "measure", None)
     hints = None if mu is None else (lambda prefix: boundary_hints(mu, prefix))
@@ -572,12 +571,10 @@ def _stieltjes(f, boundary, phi, cfg, quad, conv_tol, mode) -> InversionResult:
 
         val, _ = integrate_rn(integrand, n, quad, hints=hints)
         raw.append(val.real)
-    est, rows, converged = _limit_in_y(
-        raw, cfg.y_sequence, cfg.extrapolation_order, conv_tol
-    )
+    running, converged = _extrapolate(raw, cfg.y_sequence, conv_tol)
     return InversionResult(
-        float(est),
-        rows,
+        float(running[-1]),
+        list(zip(cfg.y_sequence, raw, running)),
         converged,
         mode,
         {"phi": phi.name, "y_sequence": list(cfg.y_sequence)},

@@ -9,13 +9,14 @@ read and written in the "a+bi" literal form and points are comma-separated
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from . import analysis
 from .core import CutPlanePoint
-from .errors import PolyherglotzError
+from .errors import InvalidArgumentError, PolyherglotzError
 from .functions import catalogue, function_from_dict
 from .measures import MU2, measure_from_dict, measure_to_dict
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -109,31 +110,30 @@ def _shorthand_descriptor(text: str) -> dict:
     raise ValueError(f"unknown function descriptor kind {kind!r}")
 
 
+#: The sections of a --config file and the config types whose fields they set.
+_CONFIG_TYPES = {"limits": analysis.LimitConfig, "quadrature": QuadratureConfig}
+
+
 def _load_config(path: str | None) -> dict:
+    """A --config file, with every section, key and value checked whether
+    or not the subcommand reads it."""
     if not path:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict) or not set(cfg) <= set(_CONFIG_TYPES):
+        raise InvalidArgumentError(f"config must be an object with sections {list(_CONFIG_TYPES)}")
+    for section, kw in cfg.items():
+        keys = [f.name for f in dataclasses.fields(_CONFIG_TYPES[section])]
+        if not isinstance(kw, dict) or not set(kw) <= set(keys):
+            raise InvalidArgumentError(f"config {section!r} must be an object with keys {keys}")
+        _CONFIG_TYPES[section](**kw)
+    return cfg
 
 
-def _limits_from_config(cfg: dict) -> analysis.LimitConfig:
-    kw = cfg.get("limits", {})
-    base = analysis.DEFAULT_LIMITS
-    return analysis.LimitConfig(
-        stoltz_angle=kw.get("stoltz_angle", base.stoltz_angle),
-        radius_sequence=tuple(kw.get("radius_sequence", base.radius_sequence)),
-        y_sequence=tuple(kw.get("y_sequence", base.y_sequence)),
-        extrapolation_order=kw.get("extrapolation_order", base.extrapolation_order),
-    )
-
-
-def _quad_from_config(cfg: dict, default: QuadratureConfig) -> QuadratureConfig:
-    kw = cfg.get("quadrature", {})
-    return QuadratureConfig(
-        abs_tol=kw.get("abs_tol", default.abs_tol),
-        rel_tol=kw.get("rel_tol", default.rel_tol),
-        max_subdivisions=kw.get("max_subdivisions", default.max_subdivisions),
-    )
+def _from_config(cfg: dict, section: str, default):
+    """`default` with the fields that config section `section` sets."""
+    return dataclasses.replace(default, **cfg.get(section, {}))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -147,7 +147,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_eval(args) -> int:
-    cfg = _quad_from_config(_load_config(args.config), DEFAULT_CONFIG)
+    cfg = _from_config(_load_config(args.config), "quadrature", DEFAULT_CONFIG)
     f = parse_function(args.fn, cfg)
     p = parse_point(args.point)
     val, err = f.evaluate(p)
@@ -168,22 +168,21 @@ _CHECK_NAMES = ("symmetry", "nondep", "positivity", "characterize")
 
 def cmd_check(args) -> int:
     cfg = _load_config(args.config)
-    quad = _quad_from_config(cfg, DEFAULT_CONFIG)
-    f = parse_function(args.fn, quad)
+    f = parse_function(args.fn, _from_config(cfg, "quadrature", DEFAULT_CONFIG))
     which = args.which
+    # without --tol each check keeps its own default tolerance
+    tol = {} if args.tol is None else {"tol": args.tol}
     if which == "symmetry":
-        report = analysis.symmetry_check(
-            f, tol=args.tol or 1e-9, seed=args.seed
-        )
+        report = analysis.symmetry_check(f, seed=args.seed, **tol)
     elif which == "nondep":
-        report = analysis.nondependence_test(f, tol=args.tol or 1e-9)
+        report = analysis.nondependence_test(f, **tol)
     elif which == "positivity":
-        report = analysis.positivity_check(
-            f, tol=args.tol or 1e-12, seed=args.seed
-        )
+        report = analysis.positivity_check(f, seed=args.seed, **tol)
     elif which == "characterize":
+        if tol:
+            raise InvalidArgumentError("characterize runs its sub-checks at their own tolerances")
         report = analysis.characterize(
-            f, _limits_from_config(cfg), seed=args.seed
+            f, _from_config(cfg, "limits", analysis.DEFAULT_LIMITS), seed=args.seed
         )
     else:  # argparse choices should prevent this
         raise ValueError(which)
@@ -277,15 +276,15 @@ def _parse_phi(text: str) -> analysis.TestFunction:
 
 def cmd_invert(args) -> int:
     cfg = _load_config(args.config)
-    quad = _quad_from_config(cfg, analysis._INVERSION_QUAD)
-    limits = _limits_from_config(cfg)
-    f = parse_function(args.fn, _quad_from_config(cfg, DEFAULT_CONFIG))
+    quad = _from_config(cfg, "quadrature", analysis._INVERSION_QUAD)
+    limits = _from_config(cfg, "limits", analysis.DEFAULT_LIMITS)
+    f = parse_function(args.fn, _from_config(cfg, "quadrature", DEFAULT_CONFIG))
     phi = _parse_phi(args.phi)
-    conv_tol = args.tol or 5e-4
+    conv_tol = {} if args.tol is None else {"conv_tol": args.tol}
     if args.mode == "classic":
-        res = analysis.stieltjes_classic(f, phi, limits, quad, conv_tol=conv_tol)
+        res = analysis.stieltjes_classic(f, phi, limits, quad, **conv_tol)
     else:
-        res = analysis.stieltjes_cauchy_type(f, phi, limits, quad, conv_tol=conv_tol)
+        res = analysis.stieltjes_cauchy_type(f, phi, limits, quad, **conv_tol)
     lines = ["y,raw,extrapolant"]
     for y, raw, ext in res.rows:
         lines.append(f"{repr(y)},{repr(float(raw))},{repr(float(ext))}")

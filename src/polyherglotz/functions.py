@@ -72,8 +72,8 @@ class CauchyTypeFunction:
         return self.evaluate(z)[0]
 
 
-def evaluate_cauchy(mu: Measure, z, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    return CauchyTypeFunction(mu, cfg)(z)
+def evaluate_cauchy(mu: Measure, z) -> complex:
+    return CauchyTypeFunction(mu)(z)
 
 
 @dataclass(frozen=True)

@@ -506,7 +506,7 @@ def _density_product(factors, t) -> float:
     return p
 
 
-def _integrate_densities(terms: list, f, cfg: QuadratureConfig, hints):
+def _integrate_densities(terms: list, f, cfg: QuadratureConfig):
     """integral of f against a sum of scaled Lebesgue and product-density
     terms as one quadrature of f times the sum of their densities; with no
     product term that is (sum of the scales) times the integral of f.
@@ -526,7 +526,7 @@ def _integrate_densities(terms: list, f, cfg: QuadratureConfig, hints):
             _check_decay(h, label)
     n = terms[0].dimension
     if not products:
-        val, err = integrate_rn(f, n, cfg, hints)
+        val, err = integrate_rn(f, n, cfg)
         return c * val, c * err
 
     def fw(t):
@@ -535,14 +535,11 @@ def _integrate_densities(terms: list, f, cfg: QuadratureConfig, hints):
             d += _density_product(factors, t)
         return f(t) * d
 
-    return integrate_rn(fw, n, cfg, hints)
+    return integrate_rn(fw, n, cfg)
 
 
 def integrate(
-    mu: Measure,
-    f: Callable[[tuple], complex],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    hints: Callable[[tuple], Sequence[float]] | None = None,
+    mu: Measure, f: Callable[[tuple], complex], cfg: QuadratureConfig = DEFAULT_CONFIG
 ):
     """integral of f dmu.  Returns (value, error_estimate).
 
@@ -554,7 +551,7 @@ def integrate(
     """
     terms = list(_flat_terms(mu))
     dense = [t for t in terms if _has_density(t)]
-    val, err = _integrate_densities(dense, f, cfg, hints) if dense else (0j, 0.0)
+    val, err = _integrate_densities(dense, f, cfg) if dense else (0j, 0.0)
     for term in terms:
         if isinstance(term, Atomic):
             val += sum((w * f(p) for p, w in zip(term.points, term.weights)), 0j)
@@ -676,12 +673,12 @@ class GrowthResult:
     value: float
 
 
-def check_growth(mu: Measure, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GrowthResult:
+def check_growth(mu: Measure) -> GrowthResult:
     """Evaluate the growth integral of prod(1+t_l^2)^-1 against mu.
 
     1/(1+t^2) is the pole pair (i, -i).
     """
-    val, _ = pair_integral(mu, [(1j, -1j)] * mu.dimension, cfg)
+    val, _ = pair_integral(mu, [(1j, -1j)] * mu.dimension)
     if not math.isfinite(abs(val)):
         return GrowthResult(False, math.inf)
     return GrowthResult(True, val.real)

@@ -29,21 +29,24 @@ from typing import Callable, Sequence
 
 from scipy.integrate import IntegrationWarning, quad
 
+from .errors import InvalidArgumentError
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        for tol in (self.abs_tol, self.rel_tol):
+            if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
+                raise InvalidArgumentError(f"tolerances must be positive and finite, got {tol!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+
+#: Each adaptive `quad` pass bisects at most this many subintervals.
+_MAX_SUBDIVISIONS = 2000
 
 #: Inner levels of `integrate_rn` run at this fraction of the tolerances.
 _INNER_TOL_FACTOR = 1e-2
@@ -89,7 +92,7 @@ def integrate_line(
             points=pts or None,
             epsabs=cfg.abs_tol,
             epsrel=cfg.rel_tol,
-            limit=max(cfg.max_subdivisions, 10),
+            limit=_MAX_SUBDIVISIONS,
             complex_func=complex_func,
         )
     return val, abs(err)

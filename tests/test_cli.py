@@ -165,6 +165,67 @@ def test_invert_rejects_limits_off_the_cut_plane(limits, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"limits": {"y_sequnce": [0.5]}},
+        {"limit": {"y_sequence": [0.5]}},
+        {"limits": [1]},
+        [1],
+        {"limits": {"y_sequence": 0.5}},
+        {"limits": {"radius_sequence": ["8", "16"]}},
+        {"limits": {"extrapolation_order": 2}},
+        {"quadrature": {"max_subdivisions": 2000}},
+        {"quadrature": {"abs_tol": math.nan}},
+        {"quadrature": {"rel_tol": math.inf}},
+    ],
+    ids=[
+        "misspelled-key", "misspelled-section", "section-not-object", "top-level-list",
+        "y-not-a-sequence", "radii-not-numbers", "removed-extrapolation-order",
+        "removed-max-subdivisions", "nan-tolerance", "infinite-tolerance",
+    ],
+)
+def test_malformed_config_is_usage_error(config, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["invert", "--fn", "cauchy:lebesgue1", "--phi", "cauchy1d", "--config", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "symmetry", "--fn", "catalogue:f7", "--tol", "0"],
+        ["check", "positivity", "--fn", "catalogue:f7", "--tol", "nan"],
+        ["check", "nondep", "--fn", "catalogue:f7", "--tol", "-1"],
+        ["check", "symmetry", "--fn", "catalogue:f7", "--tol", "inf"],
+        ["invert", "--fn", "cauchy:lebesgue1", "--phi", "cauchy1d", "--tol", "0"],
+    ],
+    ids=["zero", "nan", "negative", "infinite", "invert-zero"],
+)
+def test_tol_must_be_positive_and_finite(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "tolerance must be positive and finite" in err
+
+
+@pytest.mark.parametrize("limits", [{"y_sequnce": [0.5]}, {"y_sequence": 0.5}])
+def test_config_is_checked_where_a_section_is_not_read(limits, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"limits": limits}))
+    assert main(["eval", "--fn", "catalogue:f7", "--point", "i,i", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_characterize_takes_no_tol(capsys):
+    # its sub-checks run at their own default tolerances, so a --tol is not read
+    assert main(["check", "characterize", "--fn", "catalogue:f7", "--tol", "1e-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "own tolerances" in err
+
+
 def test_usage_errors(capsys):
     assert main(["eval", "--fn", "catalogue:f2", "--point", "1,2"]) == 2  # real coords
     assert main(["eval", "--fn", "catalogue:f9", "--point", "i,i"]) == 2

@@ -122,9 +122,9 @@ def test_upper_restriction():
 
 
 def test_positivity_probe():
-    assert positivity_check(catalogue("f7"), samples=200, seed=1729).verdict == "pass"
+    assert positivity_check(catalogue("f7"), seed=1729).verdict == "pass"
     # f2 fails positivity; (4i,4i) alone witnesses Im = -0.1
-    assert positivity_check(catalogue("f2"), samples=200, seed=1729).max_residual >= 0.09
+    assert positivity_check(catalogue("f2"), seed=1729).max_residual >= 0.09
 
 
 def test_function_descriptors():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from polyherglotz import QuadratureConfig, quadrature
+from polyherglotz import InvalidArgumentError, QuadratureConfig, quadrature
 from polyherglotz.quadrature import integrate_line, integrate_rn
 from conftest import count_calls
 
@@ -105,5 +105,12 @@ def test_integrand_type_is_read_once_per_call(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"abs_tol": math.nan}, {"rel_tol": math.inf}, {"rel_tol": -1e-9}, {"abs_tol": "1e-8"}],
+)
+def test_config_rejects_tolerances_that_are_not_positive_finite_numbers(kwargs):
+    with pytest.raises(InvalidArgumentError):
+        QuadratureConfig(**kwargs)

@@ -89,7 +89,7 @@ def oracle_ray(f, j, base_coords, cfg, direction, conv_tol):
             zj if k == j else base_coords[k] for k in range(len(base_coords))
         )
         values.append(complex(f(CutPlanePoint(coords))) / zj)
-    cols = richardson_tableau(values, 2.0, cfg.extrapolation_order)
+    cols = richardson_tableau(values, [1.0 / r for r in cfg.radius_sequence], 2)
     top = cols[-1]
     converged = len(top) >= 2 and abs(top[-1] - top[-2]) <= conv_tol
     return top[-1], converged, values

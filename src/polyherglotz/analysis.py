@@ -552,16 +552,15 @@ _INVERSION_QUAD = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-7)
 
 def _stieltjes(f, boundary, phi, cfg, quad, conv_tol, mode) -> InversionResult:
     """Integrate phi(x) * boundary(x, y) over R^n on the y ladder and
-    extrapolate in the steps y to y -> 0+.  The quadrature hints are the
-    spikes of `measures.boundary_hints` for the function's `measure`, when
-    it has one."""
+    extrapolate in the steps y to y -> 0+.  The quadrature hints of each
+    row are the spikes of `measures.boundary_hints` at its y for the
+    function's `measure`, when it has one."""
     n = phi.dimension
     if f.dimension != n:
         raise InvalidArgumentError("test function and function dimensions differ")
     _check_tol(conv_tol)
     _spot_check_bound(phi)
     mu = getattr(f, "measure", None)
-    hints = None if mu is None else (lambda prefix: boundary_hints(mu, prefix))
 
     raw = []
     for y in cfg.y_sequence:
@@ -569,6 +568,7 @@ def _stieltjes(f, boundary, phi, cfg, quad, conv_tol, mode) -> InversionResult:
         def integrand(x, y=y):
             return phi(x) * boundary(x, y)
 
+        hints = None if mu is None else (lambda prefix, y=y: boundary_hints(mu, prefix, y))
         val, _ = integrate_rn(integrand, n, quad, hints=hints)
         raw.append(val.real)
     running, converged = _extrapolate(raw, cfg.y_sequence, conv_tol)

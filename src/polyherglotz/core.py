@@ -87,12 +87,11 @@ def _reflections(pairs: Sequence[tuple]) -> list:
     return refls
 
 
-def _signs(n: int) -> list:
-    """(-1)^|mask| for every mask of n bits, in bitmask order."""
-    signs = [1.0]
-    for _ in range(n):
-        signs = signs + [-s for s in signs]
-    return signs
+#: _SIGNS[n] is (-1)^|mask| for every mask of n bits, in bitmask order,
+#: built once for every n <= MAX_DIMENSION.
+_SIGNS = [[1.0]]
+for _ in range(MAX_DIMENSION):
+    _SIGNS.append(_SIGNS[-1] + [-s for s in _SIGNS[-1]])
 
 
 def symmetry_sum(f, z: Sequence[complex], within: int | None = None) -> complex:
@@ -106,7 +105,7 @@ def symmetry_sum(f, z: Sequence[complex], within: int | None = None) -> complex:
     if within is None:
         within = (1 << n) - 1
     refls = _reflections([(1j, c.conjugate()) for c in z])
-    signs = _signs(n)
+    signs = _SIGNS[n]
     total = 0j
     for mask in range(1, 1 << n):
         if not mask & ~within:
@@ -118,6 +117,6 @@ def alternating_sum(f, z: Sequence[complex]) -> complex:
     """sum over all B of (-1)^|B| f(Psi_B(z, z)), in bitmask order."""
     refls = _reflections([(c, c.conjugate()) for c in z])
     total = 0j
-    for sign, refl in zip(_signs(len(z)), refls):
+    for sign, refl in zip(_SIGNS[len(z)], refls):
         total += sign * f(refl)
     return total

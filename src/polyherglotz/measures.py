@@ -21,7 +21,7 @@ The Nevanlinna residual takes every term that way, so it runs no
 quadrature for any measure of the family.  `pair_integral`'s curve branch
 is still one line quadrature, the independent oracle of the exact one.
 `boundary_hints` tells Stieltjes inversion where a measure's singular part
-puts spikes on each integration axis.
+puts spikes on each integration axis at height y, and how wide they are.
 """
 
 from __future__ import annotations
@@ -566,25 +566,32 @@ def integrate(
     return complex(val), err
 
 
-def boundary_hints(mu: Measure, prefix: tuple) -> list:
-    """Spike locations on the next integration axis for boundary integrals.
+def boundary_hints(mu: Measure, prefix: tuple, y: float) -> list:
+    """(location, half_width) spikes on the next integration axis for
+    boundary integrals at height y.
 
-    Used by Stieltjes inversion: as y -> 0+ the integrand of the x-integral
-    peaks where the measure carries mass on the slice through the fixed
-    coordinates `prefix`.  Densities are smooth and give none.
+    Used by Stieltjes inversion: the boundary integrand at x + iy is the
+    Poisson integral of the measure, prod_l P_y(x_l - t_l) dmu, so it peaks
+    where the measure carries mass on the slice through the fixed
+    coordinates `prefix`.  An atom, or a curve that does not move on this
+    axis, gives a spike of half-width y.  A curve t = alpha*s + beta fixed
+    through an earlier axis i spreads s over y/|alpha_i|, so its spike on
+    this axis is P_y convolved with that: half-width y*(1 + |alpha/alpha_i|),
+    2y on the diagonal.  Densities are smooth and give none.
     """
     axis = len(prefix)
     if isinstance(mu, Atomic):
-        return [p[axis] for p in mu.points]
+        return [(p[axis], y) for p in mu.points]
     if isinstance(mu, MeasureSum):
-        return [x for t in mu.terms for x in boundary_hints(t, prefix)]
+        return [x for t in mu.terms for x in boundary_hints(t, prefix, y)]
     if isinstance(mu, CurvePushforward):
-        if mu.alpha[axis] == 0.0:
-            return [mu.beta[axis]]
+        a = mu.alpha[axis]
+        if a == 0.0:
+            return [(mu.beta[axis], y)]
         for i in range(axis):
             if mu.alpha[i] != 0.0:
                 s = (prefix[i] - mu.beta[i]) / mu.alpha[i]
-                return [mu.alpha[axis] * s + mu.beta[axis]]
+                return [(a * s + mu.beta[axis], y * (1.0 + abs(a / mu.alpha[i])))]
         return []
     return []
 
@@ -664,7 +671,8 @@ def _curve_poles(mu: CurvePushforward, pairs: Sequence[tuple]):
 
 
 def _near_axis(poles) -> list:
-    return [r.real for pq in poles for r in pq if abs(r.imag) < _HINT_IM]
+    """(location, half_width) of the poles 1/(s - r) within _HINT_IM of the axis."""
+    return [(r.real, abs(r.imag)) for pq in poles for r in pq if abs(r.imag) < _HINT_IM]
 
 
 @dataclass(frozen=True)

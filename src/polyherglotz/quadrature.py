@@ -6,6 +6,14 @@ interval (-pi/2, pi/2).  Dimensions n >= 2 are handled by iterated
 (axis-by-axis) adaptive quadrature; callers may supply per-axis hints for
 near-axis spikes (e.g. poles approaching the real axis as y -> 0+).
 
+A hint is a (location, half_width) pair: a spike at s about h wide.
+`integrate_line` brackets it with breakpoints graded geometrically from
+its width up, at s and at s -+ d for d = h, 4h, 16h, ... while d < 1.
+Gauss-Kronrod nodes never fall close to a subinterval endpoint, so a lone
+split at s can leave a narrow spike unsampled, while brackets finer than
+the spike only cost subintervals.  Grading starts no finer than 4^-20, so
+a singularity takes at most 20 scales for any width.
+
 Every inner level of the iterated quadrature runs at 1/100 of the caller's
 tolerances and only the outermost level at the caller's own: an inner error
 of the outer tolerance's size would reach the outer integrand as noise,
@@ -51,14 +59,23 @@ _MAX_SUBDIVISIONS = 2000
 #: Inner levels of `integrate_rn` run at this fraction of the tolerances.
 _INNER_TOL_FACTOR = 1e-2
 
+#: Bracket half-widths grow by this ratio from a spike's width up to 1 ...
+_BRACKET_RATIO = 4.0
+
+#: ... starting no finer than this, which bounds a spike's scales at 20.
+_MIN_BRACKET = _BRACKET_RATIO**-20
+
 
 def integrate_line(
     f: Callable[[float], complex],
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    singularities: Sequence[float] = (),
+    singularities: Sequence[tuple] = (),
     complex_func: bool | None = None,
 ):
     """Adaptive quadrature of f over R.  Returns (value, error_estimate).
+
+    `singularities` holds (location, half_width) pairs, each bracketed by
+    breakpoints graded from its half-width up (see the module docstring).
 
     `complex_func` says whether f is complex; when it is None, f's value at
     the origin decides.  A real f takes one `quad` pass and gives a float,
@@ -72,15 +89,14 @@ def integrate_line(
         t = math.tan(theta)
         return f(t) * (1.0 + t * t)
 
-    # bracket each singularity at several scales: Gauss-Kronrod nodes never
-    # fall close to a subinterval endpoint, so a lone split at the spike
-    # location can leave a narrow peak entirely unsampled
     pts = set()
-    for s in singularities:
+    for s, h in singularities:
         pts.add(math.atan(s))
-        for d in (1e-1, 1e-2, 1e-4, 1e-6):
+        d = max(h, _MIN_BRACKET)
+        while d < 1.0:
             pts.add(math.atan(s - d))
             pts.add(math.atan(s + d))
+            d *= _BRACKET_RATIO
     pts = sorted(pts)
     with warnings.catch_warnings():
         # accuracy is judged from the returned error estimate, not warnings
@@ -108,17 +124,17 @@ def integrate_rn(
     f: Callable[[tuple], complex],
     n: int,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    hints: Callable[[tuple], Sequence[float]] | None = None,
+    hints: Callable[[tuple], Sequence[tuple]] | None = None,
 ):
     """Iterated quadrature of f over R^n.
 
-    `hints(prefix)` may return spike locations for the axis following the
-    already-fixed coordinates `prefix`.  The outermost axis runs at `cfg`'s
-    tolerances and every inner axis at 1/100 of them, so that inner errors
-    stay well below what the outer rule resolves.  The reported error is
-    the outermost quadrature estimate only.  Whether f is complex is read
-    once, from its value at the origin, and passed to every line: a real f
-    gives a float and takes one `quad` pass per line.
+    `hints(prefix)` may return (location, half_width) spikes for the axis
+    following the already-fixed coordinates `prefix`.  The outermost axis
+    runs at `cfg`'s tolerances and every inner axis at 1/100 of them, so
+    that inner errors stay well below what the outer rule resolves.  The
+    reported error is the outermost quadrature estimate only.  Whether f is
+    complex is read once, from its value at the origin, and passed to every
+    line: a real f gives a float and takes one `quad` pass per line.
     """
     complex_func = _is_complex(f((0.0,) * n))
     if n == 1:

@@ -8,6 +8,7 @@ from polyherglotz import (
     F4_DEFINING_MEASURE,
     Atomic,
     CauchyTypeFunction,
+    CurvePushforward,
     HerglotzFunction,
     HerglotzTriple,
     InvalidArgumentError,
@@ -17,6 +18,7 @@ from polyherglotz import (
     MU2,
     TestFunctionBoundError,
     catalogue,
+    cauchy_weight,
     characterize,
     full_symmetry_sum,
     nondependence_test,
@@ -397,21 +399,36 @@ def test_inversion_hints_come_from_the_measure(monkeypatch, f, mu):
     monkeypatch.setattr(analysis, "integrate_rn", no_quadrature)
     stieltjes_classic(f, phi_cauchy(2))
     assert f.measure is mu
-    assert len(seen) == len(analysis.DEFAULT_LIMITS.y_sequence)
-    for hints in seen:
+    ladder = analysis.DEFAULT_LIMITS.y_sequence
+    assert len(seen) == len(ladder)
+    for y, hints in zip(ladder, seen):
         if mu is None:
             assert hints is None
-        else:  # the diagonal puts a spike at x2 = x1
-            assert hints((0.3,)) == boundary_hints(mu, (0.3,)) == [0.3]
+        else:  # the diagonal puts a spike of half-width 2y at x2 = x1
+            assert hints((0.3,)) == boundary_hints(mu, (0.3,), y) == [(0.3, 2 * y)]
 
 
 def test_boundary_hints_by_variant():
-    assert boundary_hints(MU2, (0.3,)) == [0.3]
-    assert boundary_hints(MU2, ()) == []
+    y = 0.25
+    assert boundary_hints(MU2, (0.3,), y) == [(0.3, 2 * y)]
+    assert boundary_hints(MU2, (), y) == []
     atoms = Atomic(((1.0, 2.0), (-1.0, 0.5)), (1.0, 1.0))
-    assert boundary_hints(atoms, ()) == [1.0, -1.0]
-    assert boundary_hints(atoms, (0.0,)) == [2.0, 0.5]
-    assert boundary_hints(LebesgueScaled(1.0, 2), (0.3,)) == []
+    assert boundary_hints(atoms, (), y) == [(1.0, y), (-1.0, y)]
+    assert boundary_hints(atoms, (0.0,), y) == [(2.0, y), (0.5, y)]
+    assert boundary_hints(LebesgueScaled(1.0, 2), (0.3,), y) == []
+
+
+@pytest.mark.parametrize("y", [0.5, 2.0**-6, 1e-9])
+def test_boundary_hints_carry_the_poisson_width(y):
+    # the boundary integrand is prod_l P_y(x_l - t_l) dmu: an atom is one
+    # P_y, and a curve fixed through axis 1 spreads s over y/|alpha_1|, so
+    # axis 2 sees P_y convolved with P_(y |alpha_2/alpha_1|)
+    assert boundary_hints(Atomic(((1.0, 2.0),), (1.0,)), (0.0,), y) == [(2.0, y)]
+    assert boundary_hints(MU2, (0.3,), y) == [(0.3, 2 * y)]
+    steep = CurvePushforward((1.0, 2.0), (0.0, 1.0), cauchy_weight())
+    assert boundary_hints(steep, (0.3,), y) == [(1.6, 3 * y)]
+    flat = CurvePushforward((1.0, 0.0), (0.0, 1.0), cauchy_weight())
+    assert boundary_hints(flat, (0.3,), y) == [(1.0, y)]
 
 
 def test_inversion_result_serializable():
@@ -431,6 +448,8 @@ def test_stieltjes_f2_rows_near_exact(monkeypatch):
     )
     for y, raw, _ in res.rows:
         assert abs(raw - PI * PI / (2.0 * (1.0 + y))) < 5e-7, y
-    # inner levels at the outer tolerance feed the outer axis noise that it
-    # subdivides to chase: 651k boundary values at this step
-    assert sum(args[2] == 2.0**-6 for args, _ in calls) < 150_000
+    # about 22k boundary values at this step.  Fixed bracket offsets that
+    # ignore the 2y ridge width took 65k, and inner levels at the outer
+    # tolerance, which feed the outer axis noise that it subdivides to
+    # chase, took more
+    assert sum(args[2] == 2.0**-6 for args, _ in calls) < 40_000

@@ -15,12 +15,32 @@ def test_integrate_line_cauchy():
     assert err < 1e-8
 
 
-def test_integrate_line_narrow_spike_with_hint():
-    # Poisson spike of width 1e-6 at t=3 integrates to pi
-    y = 1e-6
-    f = lambda t: y / ((t - 3.0) ** 2 + y * y)
-    val, _ = integrate_line(f, singularities=[3.0])
+# Near t0 = 3 a node tan(theta) is placed only to about 1e-15, which a
+# spike of half-width 1e-9 turns into a relative error near 1e-6 per node:
+# that case came out 1.1e-7 off, so the widths at 3 stop at 1e-8.
+@pytest.mark.parametrize(
+    "t0, h",
+    [(3.0, 10.0**-k) for k in range(1, 9)] + [(0.0, 10.0**-k) for k in range(1, 10)],
+)
+def test_integrate_line_narrow_spike_with_hint(t0, h):
+    # a Poisson spike of half-width h at t0 integrates to pi
+    f = lambda t: h / ((t - t0) ** 2 + h * h)
+    val, _ = integrate_line(f, singularities=[(t0, h)])
     assert abs(val - PI) < 1e-7
+
+
+@pytest.mark.parametrize("s", [0.0, 3.0, 1e8])
+def test_spike_brackets_stay_bounded(monkeypatch, s):
+    # grading starts no finer than 4^-20 however narrow the spike, so one
+    # singularity adds at most 20 scales: s and 40 brackets.  At s = 1e8
+    # every atan(s -+ d) rounds onto atan(s) and the duplicates drop out.
+    calls = count_calls(monkeypatch, quadrature, "quad")
+    val, _ = integrate_line(lambda t: 1.0 / (1.0 + t * t), singularities=[(s, 1e-300)])
+    assert abs(val - PI) < 1e-10
+    ((_, kwargs),) = calls
+    pts = list(kwargs["points"])
+    assert pts == sorted(set(pts))
+    assert len(pts) == (1 if s == 1e8 else 41)
 
 
 def test_integrate_rn_product():
@@ -42,7 +62,7 @@ def test_integrate_rn_hints_per_axis():
         )
 
     def hints(prefix):
-        return [prefix[0]] if prefix else []
+        return [(prefix[0], y)] if prefix else []
 
     val, _ = integrate_rn(f, 2, hints=hints)
     # as y -> 0 this tends to pi * integral (1+t^2)^-2 dt = pi^2/2

@@ -170,18 +170,20 @@ def _sampled_report(samples, tol: float, config: dict) -> CheckReport:
     """The verdict of a sampled check from its (point, residual) pairs.
 
     The check passes when no residual exceeds `tol`; its witnesses are up
-    to five samples over `tol`, worst first (ties in sampling order).
+    to five samples over `tol`, worst first (ties in sampling order).  A
+    NaN residual counts as over `tol` and as worse than any number, so it
+    fails the check and is reported as the maximum.
     """
     _check_tol(tol)
+    rank = lambda r: (math.isnan(r), r)
     worst = 0.0
     over = []
     for z, r in samples:
-        if r > worst:
-            worst = r
-        if r > tol:
+        worst = max(worst, r, key=rank)
+        if not r <= tol:
             over.append((z, r))
-    over.sort(key=lambda w: w[1], reverse=True)
-    return CheckReport("pass" if worst <= tol else "fail", worst, tol, over[:5], config)
+    over.sort(key=lambda w: rank(w[1]), reverse=True)
+    return CheckReport("fail" if over else "pass", worst, tol, over[:5], config)
 
 
 _POINTS_PER_COMPONENT = 50

@@ -300,7 +300,11 @@ def cmd_invert(args) -> int:
 # it reads, so an unread one is a usage error.
 _OPTIONS = {
     "out": {"help": "write the JSON/CSV report here instead of stdout"},
-    "seed": {"type": int, "default": analysis.DEFAULT_SEED},
+    "seed": {
+        "type": int,
+        "default": analysis.DEFAULT_SEED,
+        "help": "seed of the sampled points; the nondep probes are fixed, so it ignores the seed",
+    },
     "config": {"help": "JSON file with quadrature/limit overrides"},
     "tol": {"type": float, "default": None},
 }

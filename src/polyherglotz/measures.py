@@ -64,31 +64,35 @@ class DensityDescriptor:
 
     def __post_init__(self):
         if self.form == "constant":
-            if len(self.params) != 1 or self.params[0] < 0:
-                raise InvalidMeasureError("constant density needs c >= 0")
+            if len(self.params) != 1 or not 0 <= self.params[0] < math.inf:
+                raise InvalidMeasureError("constant density needs a finite c >= 0")
+            fn = lambda t, c=self.params[0]: c
         elif self.form == "cauchy_weight":
             if self.params:
                 raise InvalidMeasureError("cauchy_weight takes no parameters")
+            fn = lambda t: 1.0 / (1.0 + t * t)
         elif self.form == "gaussian":
-            if len(self.params) != 2 or self.params[1] <= 0:
-                raise InvalidMeasureError("gaussian needs (mean, sigma), sigma > 0")
+            if len(self.params) != 2 or not (
+                math.isfinite(self.params[0]) and 0 < self.params[1] < math.inf
+            ):
+                raise InvalidMeasureError("gaussian needs a finite (mean, sigma), sigma > 0")
+            m, s = self.params
+            fn = lambda t: math.exp(-0.5 * ((t - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
         elif self.form == "rational_table":
             if len(self.params) != 1 or self.params[0] not in _RATIONAL_TABLE:
                 raise InvalidMeasureError(
                     f"unknown rational_table entry {self.params!r}"
                 )
+            fn = _RATIONAL_TABLE[self.params[0]][0]
         else:
             raise InvalidMeasureError(f"unknown density form {self.form!r}")
+        object.__setattr__(self, "_fn", fn)  # the formula, resolved once for every caller
+
+    def __reduce__(self):  # pickle and copy rebuild `_fn` from the fields
+        return type(self), (self.form, self.params)
 
     def __call__(self, t: float) -> float:
-        if self.form == "constant":
-            return self.params[0]
-        if self.form == "cauchy_weight":
-            return 1.0 / (1.0 + t * t)
-        if self.form == "gaussian":
-            m, s = self.params
-            return math.exp(-0.5 * ((t - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
-        return _RATIONAL_TABLE[self.params[0]][0](t)
+        return self._fn(t)
 
     def pair_integral(self, p: complex, q: complex) -> complex:
         """integral over R of pair(p, q)(t) w(t) dt in closed form, for nonreal p, q.
@@ -354,8 +358,10 @@ class Atomic:
         object.__setattr__(self, "weights", weights)
         if len(points) != len(weights):
             raise InvalidMeasureError("points and weights lengths differ")
-        if any(w < 0 for w in weights):
-            raise InvalidMeasureError("atomic weights must be >= 0")
+        if not all(0 <= w < math.inf for w in weights):
+            raise InvalidMeasureError("atomic weights must be finite and >= 0")
+        if not all(math.isfinite(x) for p in points for x in p):
+            raise InvalidMeasureError("atom coordinates must be finite")
         if points:
             n = len(points[0])
             if any(len(p) != n for p in points):
@@ -377,8 +383,8 @@ class LebesgueScaled:
     dim: int = 1
 
     def __post_init__(self):
-        if self.c < 0:
-            raise InvalidMeasureError("Lebesgue scale must be >= 0")
+        if not 0 <= self.c < math.inf:
+            raise InvalidMeasureError("Lebesgue scale must be finite and >= 0")
         if self.dim < 1:
             raise InvalidMeasureError("dimension must be >= 1")
 
@@ -417,10 +423,12 @@ class CurvePushforward:
         object.__setattr__(self, "beta", beta)
         if len(alpha) != len(beta):
             raise InvalidMeasureError("alpha and beta lengths differ")
+        if not all(math.isfinite(x) for x in alpha + beta):
+            raise InvalidMeasureError("curve alpha and beta must be finite")
         if all(a == 0 for a in alpha):
             raise InvalidMeasureError("curve must have a nonzero direction")
-        if self.scale < 0:
-            raise InvalidMeasureError("scale must be >= 0")
+        if not 0 <= self.scale < math.inf:
+            raise InvalidMeasureError("scale must be finite and >= 0")
 
     @property
     def dimension(self) -> int:
@@ -499,20 +507,24 @@ def _has_density(mu: Measure) -> bool:
     return isinstance(mu, ProductDensity) or (isinstance(mu, LebesgueScaled) and mu.c != 0.0)
 
 
-def _density_product(factors, t) -> float:
-    p = 1.0
-    for w, x in zip(factors, t):
-        p *= w(x)
-    return p
+def _weighted(f, c: float, products: list):
+    """t -> f(t) * (c + sum_k prod_l w_kl(t_l)), products of (l, w_kl._fn)."""
+    def fw(t):
+        d = c
+        for factors in products:
+            p = 1.0
+            for l, w in factors:
+                p *= w(t[l])
+            d += p
+        return f(t) * d
+    return fw
 
 
 def _integrate_densities(terms: list, f, cfg: QuadratureConfig):
     """integral of f against a sum of scaled Lebesgue and product-density
-    terms as one quadrature of f times the sum of their densities; with no
-    product term that is (sum of the scales) times the integral of f.
-
-    Each term's integrand is checked for decay as if it were integrated
-    alone.
+    terms as one quadrature of f times the sum of their densities, a weight
+    built once and without constant factors of 1.0; with no product term, the
+    sum of the scales times the integral of f.  Each term's decay is checked alone.
     """
     c, products = 0.0, []
     for term in terms:
@@ -520,22 +532,16 @@ def _integrate_densities(terms: list, f, cfg: QuadratureConfig):
             c += term.c
             g = f
         else:
-            products.append(term.factors)
-            g = lambda t, fs=term.factors: f(t) * _density_product(fs, t)
+            unit = constant_density(1.0)
+            products.append(tuple((l, w._fn) for l, w in enumerate(term.factors) if w != unit))
+            g = _weighted(f, 0.0, products[-1:])
         for label, h in _axis_profiles(g, term.dimension):
             _check_decay(h, label)
     n = terms[0].dimension
     if not products:
         val, err = integrate_rn(f, n, cfg)
         return c * val, c * err
-
-    def fw(t):
-        d = c
-        for factors in products:
-            d += _density_product(factors, t)
-        return f(t) * d
-
-    return integrate_rn(fw, n, cfg)
+    return integrate_rn(_weighted(f, c, products), n, cfg)
 
 
 def integrate(
@@ -556,7 +562,7 @@ def integrate(
         if isinstance(term, Atomic):
             val += sum((w * f(p) for p, w in zip(term.points, term.weights)), 0j)
         elif isinstance(term, CurvePushforward) and term.scale != 0.0:
-            g = lambda s: f(term.at(s)) * term.weight(s)
+            g = lambda s, w=term.weight._fn: f(term.at(s)) * w(s)
             _check_decay(g, "curve parameter")
             v, e = integrate_line(g, cfg)
             val += term.scale * v
@@ -638,9 +644,10 @@ def pair_integral(
 
     if isinstance(mu, CurvePushforward):
         const, poles = _curve_poles(mu, pairs)
+        w = mu.weight._fn
 
         def g(s):
-            v = mu.weight(s)
+            v = w(s)
             for p, q in poles:
                 v *= 1.0 / (s - p) - 1.0 / (s - q)
             return v

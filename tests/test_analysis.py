@@ -8,6 +8,7 @@ from polyherglotz import (
     F4_DEFINING_MEASURE,
     Atomic,
     CauchyTypeFunction,
+    ClosedFormFunction,
     CurvePushforward,
     HerglotzFunction,
     HerglotzTriple,
@@ -234,6 +235,22 @@ def test_sampled_report_witnesses_worst_first():
     r = analysis._sampled_report(zip(pts, residuals), 4.0, {})
     assert (r.verdict, r.max_residual, r.witnesses) == ("pass", 4.0, [])
     assert analysis._sampled_report([], 1e-9, {}).verdict == "pass"
+
+
+def test_a_nan_residual_fails_a_sampled_check():
+    pts = [point(complex(0, k + 1)) for k in range(4)]
+    r = analysis._sampled_report(zip(pts, [2.0, math.nan, 0.0, 3.0]), 1.0, {})
+    assert r.verdict == "fail" and math.isnan(r.max_residual)
+    assert r.witnesses[0][0] == pts[1] and math.isnan(r.witnesses[0][1])
+    assert r.witnesses[1:] == [(pts[3], 3.0), (pts[0], 2.0)]
+    # a function that is NaN on one mixed component, exact elsewhere
+    f7 = catalogue("f7")
+    branches = dict(f7.branches)
+    branches[(1, -1)] = lambda z1, z2: complex(math.nan, math.nan)
+    f = ClosedFormFunction("f7-nan", 2, branches)
+    for r in (symmetry_check(f), nondependence_test(f)):
+        assert r.verdict == "fail" and math.isnan(r.max_residual)
+        assert math.isnan(r.witnesses[0][1])
 
 
 def test_failing_checks_report_their_worst_sample_first():

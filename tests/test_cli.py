@@ -259,3 +259,29 @@ def test_usage_errors(capsys):
 def test_malformed_descriptor_is_usage_error(fn, capsys):
     assert main(["eval", "--fn", fn, "--point", "i,i"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        {"type": "lebesgue_scaled", "c": math.nan, "dimension": 2},
+        {"type": "atomic", "points": [[0.0, math.inf]], "weights": [1.0]},
+        {"type": "curve_pushforward", "curve": {"alpha": [1, 1], "beta": [0, 0]},
+         "weight": {"form": "gaussian", "mean": math.nan, "sigma": 1.0}, "scale": 1.0},
+    ],
+)
+def test_non_finite_measure_parameters_are_usage_errors(measure, tmp_path, capsys):
+    spec = tmp_path / "fn.json"
+    spec.write_text(json.dumps({"type": "cauchy", "measure": measure}))
+    assert main(["eval", "--fn", f"@{spec}", "--point", "1i,1i"]) == 2
+    assert main(["check", "symmetry", "--fn", f"@{spec}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "finite" in err
+
+
+def test_check_nondep_ignores_the_seed(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["check", "nondep", "--fn", "catalogue:f4", "--out", str(a)]) == 1
+    assert main(["check", "nondep", "--fn", "catalogue:f4", "--seed", "3", "--out", str(b)]) == 1
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()

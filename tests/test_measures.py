@@ -1,13 +1,17 @@
+import copy
 import json
 import math
+import pickle
 
 import pytest
 
 from polyherglotz import (
+    F4_DEFINING_MEASURE,
     F4_NEVANLINNA_MEASURE,
     MU2,
     Atomic,
     CurvePushforward,
+    DensityDescriptor,
     DivergenceError,
     InvalidArgumentError,
     InvalidMeasureError,
@@ -28,6 +32,7 @@ from polyherglotz import (
     rational_density,
 )
 from polyherglotz import measures
+from polyherglotz.quadrature import integrate_rn
 from conftest import count_calls
 
 PI = math.pi
@@ -137,28 +142,28 @@ def shifted_cauchy(x):
     return cauchy_nd(x) * (1.0 + 0.3j * x[0] / (1.0 + x[0] ** 2)) / (1.0 + (x[-1] - 0.5) ** 2)
 
 
-@pytest.mark.parametrize(
-    "terms",
-    [
-        (
-            LebesgueScaled(0.0, 2),
-            LebesgueScaled(1.5, 2),
-            ProductDensity((constant_density(2.0), cauchy_weight())),
-            ProductDensity((gaussian_density(0.5, 1.2), rational_density("cauchy_squared"))),
-            Atomic(((0.0, 1.0), (2.0, -1.0)), (1.0, 0.5)),
-            MU2,
-        ),
-        (
-            LebesgueScaled(0.0, 1),
-            ProductDensity((constant_density(0.7),)),
-            ProductDensity((cauchy_weight(),)),
-            LebesgueScaled(3.0, 1),
-            ProductDensity((gaussian_density(-1.0, 0.4),)),
-            ProductDensity((rational_density("cauchy_squared"),)),
-            CurvePushforward((2.0,), (1.0,), cauchy_weight(), 0.5),
-        ),
-    ],
-)
+MERGED_SUMS = [
+    (
+        LebesgueScaled(0.0, 2),
+        LebesgueScaled(1.5, 2),
+        ProductDensity((constant_density(2.0), cauchy_weight())),
+        ProductDensity((gaussian_density(0.5, 1.2), rational_density("cauchy_squared"))),
+        Atomic(((0.0, 1.0), (2.0, -1.0)), (1.0, 0.5)),
+        MU2,
+    ),
+    (
+        LebesgueScaled(0.0, 1),
+        ProductDensity((constant_density(0.7),)),
+        ProductDensity((cauchy_weight(),)),
+        LebesgueScaled(3.0, 1),
+        ProductDensity((gaussian_density(-1.0, 0.4),)),
+        ProductDensity((rational_density("cauchy_squared"),)),
+        CurvePushforward((2.0,), (1.0,), cauchy_weight(), 0.5),
+    ),
+]
+
+
+@pytest.mark.parametrize("terms", MERGED_SUMS)
 def test_merged_sum_matches_term_by_term(terms):
     # nested as (t0, (t1, (t2, ...))) so that flattening is exercised too
     mu = terms[-1]
@@ -179,6 +184,113 @@ def test_density_terms_share_one_quadrature(monkeypatch):
     val, _ = integrate(F4_NEVANLINNA_MEASURE, cauchy_nd)
     assert [args[1] for args, _ in calls] == [2]
     assert abs(val - 5.5 * PI * PI) < 1e-7
+
+
+def reference_density(d, t):
+    """The density formulas, written out apart from `DensityDescriptor`."""
+    if d.form == "constant":
+        return d.params[0]
+    if d.form == "cauchy_weight":
+        return 1.0 / (1.0 + t * t)
+    if d.form == "gaussian":
+        m, s = d.params
+        return math.exp(-0.5 * ((t - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
+    return 1.0 / (1.0 + t * t) ** 2  # the one rational_table entry, cauchy_squared
+
+
+DENSITIES = [
+    constant_density(1.0),
+    constant_density(0.7),
+    cauchy_weight(),
+    gaussian_density(0.5, 1.2),
+    rational_density("cauchy_squared"),
+]
+
+
+@pytest.mark.parametrize("d", DENSITIES, ids=lambda d: d.form + repr(d.params))
+def test_resolved_density_matches_its_formula_bit_for_bit(d):
+    radii = [0.0] + [10.0 ** (k / 4) for k in range(-32, 33)]  # up to 1e8
+    for t in [s * r for r in radii for s in (1.0, -1.0)] + [0.5, 1.7, -2.3]:
+        want = float(reference_density(d, t)).hex()
+        assert float(d._fn(t)).hex() == want, t
+        assert float(d(t)).hex() == want, t
+
+
+def reference_density_integral(terms, f):
+    """integrate_rn of f(t) * (c + sum over products of prod_l w_l(t_l)),
+    the weight summed in the order of the terms as `integrate` merges them."""
+    c = sum(t.c for t in terms if isinstance(t, LebesgueScaled))
+    products = [t.factors for t in terms if isinstance(t, ProductDensity)]
+
+    def fw(t):
+        d = c
+        for factors in products:
+            p = 1.0
+            for w, x in zip(factors, t):
+                p *= reference_density(w, x)
+            d += p
+        return f(t) * d
+
+    val, err = integrate_rn(fw, terms[0].dimension)
+    return complex(val), err
+
+
+def phi_diagonal(x):
+    return math.exp(-((x[0] - x[1]) ** 2)) / ((1 + x[0] ** 2) * (1 + x[1] ** 2))
+
+
+def test_density_weight_matches_the_reference_integrand():
+    assert integrate(F4_NEVANLINNA_MEASURE, phi_diagonal) == reference_density_integral(
+        F4_NEVANLINNA_MEASURE.terms, phi_diagonal
+    )
+    dense = [t for t in MERGED_SUMS[0] if isinstance(t, (LebesgueScaled, ProductDensity))]
+    assert integrate(MeasureSum(tuple(dense)), shifted_cauchy) == reference_density_integral(
+        dense, shifted_cauchy
+    )
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        Atomic(((0.0, 1.0), (2.0, -1.0)), (1.0, 0.5)),
+        LebesgueScaled(1.5, 2),
+        ProductDensity(tuple(DENSITIES)),
+        CurvePushforward((2.0, 1.0), (1.0, 0.0), gaussian_density(0.5, 1.2), 0.5),
+        MU2,
+        F4_DEFINING_MEASURE,
+        F4_NEVANLINNA_MEASURE,
+        *DENSITIES,
+    ],
+    ids=lambda mu: type(mu).__name__,
+)
+def test_measures_survive_pickle_and_deepcopy(mu):
+    for copied in (pickle.loads(pickle.dumps(mu)), copy.deepcopy(mu)):
+        assert copied == mu and hash(copied) == hash(mu)
+        assert pickle.dumps(copied) == pickle.dumps(mu)
+        if isinstance(mu, DensityDescriptor):
+            assert copied(0.3) == mu(0.3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: LebesgueScaled(x, 2),
+        lambda x: constant_density(x),
+        lambda x: gaussian_density(x, 1.0),
+        lambda x: gaussian_density(0.0, x),
+        lambda x: Atomic(((0.0, x),), (1.0,)),
+        lambda x: Atomic(((0.0, 1.0),), (x,)),
+        lambda x: CurvePushforward((1.0, x), (0.0, 0.0), cauchy_weight()),
+        lambda x: CurvePushforward((1.0, 1.0), (x, 0.0), cauchy_weight()),
+        lambda x: CurvePushforward((1.0, 1.0), (0.0, 0.0), cauchy_weight(), x),
+    ],
+    ids=["lebesgue-c", "constant-c", "gaussian-mean", "gaussian-sigma", "atom-point",
+         "atom-weight", "curve-alpha", "curve-beta", "curve-scale"],
+)
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected(build, x):
+    with pytest.raises(InvalidMeasureError):
+        build(x)
 
 
 def test_divergence_detection():

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MIN_IMAG, CutPlanePoint, alternating_sum, symmetry_sum
+from .core import MIN_IMAG, CutPlanePoint, _on_coords, alternating_sum, symmetry_sum
 from .errors import InvalidArgumentError, InvalidPointError, TestFunctionBoundError
 from .quadrature import QuadratureConfig, integrate_rn
 from .measures import boundary_hints
@@ -36,7 +36,7 @@ class LimitConfig:
     The ladders may shrink their steps by any ratio: the extrapolation reads
     the steps themselves.  The checks make every ray point r*e^(+-i*angle)
     and every ladder point x + iy a valid cut-plane point, so those are
-    built unchecked.
+    evaluated unchecked, as coordinate tuples.
     """
 
     stoltz_angle: float = math.pi / 4
@@ -133,19 +133,12 @@ def _check_tol(tol: float) -> None:
         raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def _on_coords(f):
-    """f on coordinate tuples that are derived from a validated point (its
-    reflections, ray and ladder points), wrapped unchecked."""
-    unchecked = CutPlanePoint._unchecked
-    return lambda w: complex(f(unchecked(w)))
-
-
 # ---------------------------------------------------------------------------
 # Symmetry and non-dependence
 
 def full_symmetry_sum(f, z: CutPlanePoint) -> complex:
     """sum over nonempty B of (-1)^(|B|+1) conj f(Psi_B(i*1, z))."""
-    return symmetry_sum(_on_coords(f), z.coords)
+    return symmetry_sum(_on_coords(f, z.n), z.coords)
 
 
 def symmetry_residual(f, z: CutPlanePoint) -> float:
@@ -263,12 +256,18 @@ def _probe_points(n: int, samples: int, seed: int):
 _POSITIVITY_SAMPLES = 200
 
 
+def _deficit(im: float) -> float:
+    """max(0, -im), and NaN for a NaN im (which max would drop)."""
+    return im if math.isnan(im) else max(0.0, -im)
+
+
 def positivity_check(f, tol: float = 1e-12, seed: int = DEFAULT_SEED) -> CheckReport:
     """Sampled Im f >= 0 on C+^n, on a grid and 200 seeded points; a point's
-    residual is max(0, -Im f), so roundoff below `tol` passes."""
+    residual is max(0, -Im f), so roundoff below `tol` passes, and NaN where
+    Im f is NaN, so that it fails."""
     points = _probe_points(f.dimension, _POSITIVITY_SAMPLES, seed)
     return _sampled_report(
-        ((p, max(0.0, -complex(f(p)).imag)) for p in points),
+        ((p, _deficit(complex(f(p)).imag)) for p in points),
         tol,
         {"samples": _POSITIVITY_SAMPLES, "seed": seed},
     )
@@ -292,7 +291,7 @@ def reconstruct_from_upper(f_upper, z: CutPlanePoint) -> complex:
         raise InvalidArgumentError(
             "point lies in C+^n; evaluate the function directly"
         )
-    return symmetry_sum(_on_coords(f_upper), z.coords, within)
+    return symmetry_sum(_on_coords(f_upper, z.n), z.coords, within)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +353,7 @@ def stoltz_limit(
     # the ray and its steps 1/r are shared by the base and its alternates
     ray = [r * phase for r in cfg.radius_sequence]
     steps = [1.0 / r for r in cfg.radius_sequence]
-    g = _on_coords(f)
+    g = _on_coords(f, base.n)
     alts = _ALT_BASE_COORDS
     bases = [base.coords] + [
         tuple(base.coords[i] if i == jj else alts[(k + i) % len(alts)] for i in range(n))
@@ -382,12 +381,18 @@ class _LinearlyShifted:
         self.inner = f
         self.d = tuple(d)
         self.dimension = f.dimension
+        self._inner_at = _on_coords(f, f.dimension)
 
     def __call__(self, z):
         p = z if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z))
-        return complex(self.inner(p)) - sum(
-            dj * c for dj, c in zip(self.d, p.coords)
-        )
+        if p.n != self.dimension:
+            raise InvalidArgumentError(
+                f"point dimension {p.n} differs from the function's {self.dimension}"
+            )
+        return self._at(p.coords)
+
+    def _at(self, zs: tuple) -> complex:
+        return self._inner_at(zs) - sum(dj * c for dj, c in zip(self.d, zs))
 
 
 @dataclass
@@ -592,7 +597,7 @@ def stieltjes_classic(
 ) -> InversionResult:
     """Recover integral phi dmu from Im h on C+^n as y -> 0+."""
 
-    h = _on_coords(h_upper)
+    h = _on_coords(h_upper, phi.dimension)
 
     def im_h(x, y):
         return h(tuple(complex(v, y) for v in x)).imag
@@ -603,13 +608,13 @@ def stieltjes_classic(
 def alternating_boundary_sum(g, x: tuple, y: float) -> complex:
     """(1/2i) sum_B (-1)^|B| g(Psi_B(x+iy, x+iy)) at finite real x.
 
-    Only y is checked; the ladder point and its reflections are built
-    unchecked.
+    Only y is checked; the ladder point and its reflections are evaluated
+    unchecked, as coordinate tuples.
     """
     if not MIN_IMAG <= abs(y) < math.inf:
         raise InvalidPointError(f"y = {y} does not lift x off the real axis")
     z = tuple(complex(v, y) for v in x)
-    return alternating_sum(_on_coords(g), z) / 2j
+    return alternating_sum(_on_coords(g, len(z)), z) / 2j
 
 
 def stieltjes_cauchy_type(

@@ -5,8 +5,8 @@ with strictly nonzero imaginary part.  A point is validated once, where it
 enters the library: `CutPlanePoint` checks its coordinates on construction
 and rejects real, NaN and infinite ones.  Points derived from a validated
 one (its reflections, and the Stieltjes ladder and Stoltz ray points whose
-parameters `analysis.LimitConfig` checks) are built unchecked through
-`CutPlanePoint._unchecked`.
+parameters `analysis.LimitConfig` checks) are never built: `_on_coords`
+hands their coordinate tuples to the function's own `_at`.
 
 The cut-plane splits into 2^n connected components indexed by the sign
 pattern of the imaginary parts.  The selective conjugation Psi_B(w, z)
@@ -40,14 +40,6 @@ class CutPlanePoint:
 
     coords: tuple
 
-    @classmethod
-    def _unchecked(cls, coords: tuple) -> CutPlanePoint:
-        """A point from complex coordinates derived from a validated point,
-        without the check: conjugating a coordinate keeps it off the axis."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "coords", coords)
-        return p
-
     def __post_init__(self):
         coords = tuple([complex(c) for c in self.coords])
         object.__setattr__(self, "coords", coords)
@@ -77,6 +69,19 @@ class CutPlanePoint:
 def point(*coords) -> CutPlanePoint:
     """Convenience constructor: point(1j, 2+3j)."""
     return CutPlanePoint(tuple(coords))
+
+
+def _on_coords(f, n: int):
+    """f on coordinate tuples of length n derived from a validated point.
+
+    That is `f._at`, which builds no point, when f has one and has
+    dimension n.  Otherwise each tuple goes through f's validating public
+    call: a dimension mismatch raises f's own error, and a function from
+    outside the library only ever sees validated points.
+    """
+    if getattr(f, "dimension", None) == n and hasattr(f, "_at"):
+        return f._at
+    return lambda w: complex(f(CutPlanePoint(w)))
 
 
 def _reflections(pairs: Sequence[tuple]) -> list:

@@ -9,6 +9,13 @@ whose branches are keyed by the sign pattern of the imaginary parts.
 `restrict_to_upper` views any of them on C+^n only, and
 `function_from_dict` builds one from its JSON descriptor.
 
+The public calls validate their point (a `CutPlanePoint`, or coordinates
+that become one) and its dimension once.  Each family also has one
+private evaluation on a coordinate tuple, ``f._at(coords) -> complex``,
+which checks nothing and gives the public value to the bit; `analysis`
+evaluates the reflections, ray points and ladder points derived from a
+validated point through it (`core._on_coords`), so it builds no point.
+
 A Cauchy-type function integrates K_n = i(2 prod A(z_l, t_l) - prod A(i, t_l))
 against its measure.  A(z, .) is the pole pair (z, -i), so both products
 are `measures.pair_integral`s; the second does not depend on z and is
@@ -29,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import CutPlanePoint
+from .core import CutPlanePoint, _on_coords
 from .errors import InvalidArgumentError, UnknownCatalogueIdError
 from .measures import (
     MU2,
@@ -71,6 +78,10 @@ class CauchyTypeFunction:
     def __call__(self, z) -> complex:
         return self.evaluate(z)[0]
 
+    def _at(self, zs: tuple) -> complex:
+        val, _ = pair_integral(self.measure, [(c, -1j) for c in zs], self.config)
+        return self._prefactor * (1j * (2.0 * val - self._growth))
+
 
 def evaluate_cauchy(mu: Measure, z) -> complex:
     return CauchyTypeFunction(mu)(z)
@@ -91,6 +102,8 @@ class HerglotzTriple:
             raise InvalidArgumentError("b components must be >= 0")
         if len(self.b) != self.mu.dimension:
             raise InvalidArgumentError("b and measure dimensions differ")
+        if not all(math.isfinite(x) for x in (self.a, *self.b)):
+            raise InvalidArgumentError("a and the b components must be finite")
 
 
 class HerglotzFunction:
@@ -116,12 +129,17 @@ class HerglotzFunction:
     def __call__(self, z) -> complex:
         return self.evaluate(z)[0]
 
+    def _at(self, zs: tuple) -> complex:
+        lin = self.triple.a + sum(b * c for b, c in zip(self.triple.b, zs))
+        return lin + self._cauchy._at(zs)
+
 
 class ClosedFormFunction:
     """Per-component closed forms, keyed by the sign pattern of Im z.
 
     Evaluation refuses points whose component has no branch; the catalogue
     entries define all four components of the two-variable cut-plane.
+    A branch takes the n coordinates and returns a complex value.
     """
 
     def __init__(self, name, dimension, branches, measure=None):
@@ -139,6 +157,9 @@ class ClosedFormFunction:
             raise InvalidArgumentError(
                 f"{self.name} is defined in dimension {self.dimension}"
             )
+        return self._at(zs)
+
+    def _at(self, zs: tuple) -> complex:
         signs = tuple([1 if c.imag > 0 else -1 for c in zs])
         branch = self.branches.get(signs)
         if branch is None:
@@ -156,6 +177,7 @@ class UpperRestriction:
         self.measure = getattr(f, "measure", None)
         self.dimension = f.dimension
         self.name = getattr(f, "name", "function") + "|upper"
+        self._inner_at = _on_coords(f, f.dimension)
 
     def evaluate(self, z):
         p = z if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z))
@@ -167,6 +189,11 @@ class UpperRestriction:
 
     def __call__(self, z) -> complex:
         return self.evaluate(z)[0]
+
+    def _at(self, zs: tuple) -> complex:
+        if not all(c.imag > 0 for c in zs):
+            raise InvalidArgumentError(f"{self.name} is only defined on C+^n")
+        return self._inner_at(zs)
 
 
 def restrict_to_upper(f) -> UpperRestriction:

@@ -253,6 +253,14 @@ def test_a_nan_residual_fails_a_sampled_check():
         assert math.isnan(r.witnesses[0][1])
 
 
+def test_a_nan_imaginary_part_fails_positivity():
+    branches = dict(catalogue("f7").branches)
+    branches[(1, 1)] = lambda z1, z2: complex(1.0, math.nan)
+    r = positivity_check(ClosedFormFunction("f7-nan", 2, branches))
+    assert r.verdict == "fail" and math.isnan(r.max_residual)
+    assert r.witnesses[0][0].is_upper() and math.isnan(r.witnesses[0][1])
+
+
 def test_failing_checks_report_their_worst_sample_first():
     for k in range(8):
         f = catalogue(f"f{k}")
@@ -388,6 +396,22 @@ def test_stieltjes_lambda2_alternating():
     assert res.converged
     assert abs(res.estimate - PI * PI) < 1e-3
     assert len(res.rows) == 10
+
+
+def test_a_point_of_the_wrong_dimension_raises_the_function_error():
+    f2, z3 = catalogue("f2"), point(1j, 1j, 1j)
+    message = "f2 is defined in dimension 2"
+    with pytest.raises(InvalidArgumentError, match=message):
+        stoltz_limit(f2, 1, z3)
+    with pytest.raises(InvalidArgumentError, match=message):
+        symmetry_residual(f2, z3)
+    with pytest.raises(InvalidArgumentError, match=message):
+        analysis.alternating_boundary_sum(f2, (0.3, -0.2, 0.1), 0.5)
+    with pytest.raises(InvalidArgumentError, match=message):
+        reconstruct_from_upper(restrict_to_upper(f2), point(-1j, 1j, 1j))
+    g = CauchyTypeFunction(LebesgueScaled(1.0, 2))
+    with pytest.raises(InvalidArgumentError, match="point dimension does not match measure"):
+        stoltz_limit(g, 1, z3)
 
 
 def test_stieltjes_dimension_mismatch():

@@ -279,6 +279,18 @@ def test_non_finite_measure_parameters_are_usage_errors(measure, tmp_path, capsy
     assert out == "" and "finite" in err
 
 
+def test_non_finite_herglotz_a_and_b_are_usage_errors(tmp_path, capsys):
+    spec = tmp_path / "fn.json"
+    spec.write_text(json.dumps({
+        "type": "herglotz", "a": math.nan, "b": [0, math.inf],
+        "measure": {"type": "lebesgue_scaled", "c": 1, "dimension": 2},
+    }))
+    assert main(["eval", "--fn", f"@{spec}", "--point", "1i,1i"]) == 2
+    assert main(["check", "positivity", "--fn", f"@{spec}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "finite" in err
+
+
 def test_check_nondep_ignores_the_seed(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["check", "nondep", "--fn", "catalogue:f4", "--out", str(a)]) == 1

@@ -26,15 +26,6 @@ def test_point_rejects_non_finite_coordinates(coords):
         CutPlanePoint(coords)
 
 
-def test_unchecked_point_matches_validated():
-    coords = (0.5 + 1j, -2.0 - 0.25j)
-    p = CutPlanePoint._unchecked(coords)
-    assert p == CutPlanePoint(coords) and hash(p) == hash(CutPlanePoint(coords))
-    assert p.coords is coords
-    assert tuple(1 if c.imag > 0 else -1 for c in p.coords) == (1, -1)
-    assert not hasattr(p, "__dict__")
-
-
 def test_point_rejects_empty():
     with pytest.raises(InvalidPointError):
         CutPlanePoint(())

@@ -107,6 +107,15 @@ def test_herglotz_b_validation():
         HerglotzTriple(0.0, (1.0,), LebesgueScaled(1.0, 2))
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(math.nan, (0.0, 0.0)), (math.inf, (0.0, 1.0)), (0.0, (0.0, math.inf)), (1.0, (math.nan, 0.0))],
+)
+def test_herglotz_a_and_b_must_be_finite(a, b):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        HerglotzTriple(a, b, LebesgueScaled(1.0, 2))
+
+
 def test_cauchy_n1_herglotz_values():
     # (1/pi) integral K_1 dt = i on C+, -i on C-
     g = CauchyTypeFunction(LebesgueScaled(1.0, 1))

@@ -77,7 +77,7 @@ from .analysis import (
     symmetry_check,
     symmetry_residual,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import QuadratureConfig
 
 __version__ = "0.1.0"
 

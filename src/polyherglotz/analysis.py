@@ -503,6 +503,8 @@ def phi_cauchy(n: int) -> TestFunction:
 
 
 def phi_gaussian(n: int, sigma: float = 1.0) -> TestFunction:
+    if not (isinstance(sigma, numbers.Real) and 0 < sigma < math.inf):
+        raise InvalidArgumentError(f"sigma must be positive and finite, got {sigma!r}")
     # sup (1+x^2) exp(-x^2 / (2 sigma^2)) per axis
     if sigma * sigma <= 0.5:
         d1 = 1.0
@@ -526,7 +528,7 @@ def _spot_check_bound(phi: TestFunction) -> None:
         bound = phi.bound_constant
         for v in x:
             bound *= 1.0 / (1.0 + v * v)
-        if abs(phi(x)) > bound * (1.0 + 1e-9) + 1e-300:
+        if not abs(phi(x)) <= bound * (1.0 + 1e-9) + 1e-300:  # NaN fails
             raise TestFunctionBoundError(
                 f"{phi.name} violates its decay bound at {x}"
             )

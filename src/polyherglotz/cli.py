@@ -4,6 +4,9 @@ Subcommands: eval, check, reproduce-tables, invert.  Complex numbers are
 read and written in the "a+bi" literal form and points are comma-separated
 ("4i,4i").  Exit codes: 0 success / pass, 1 failed check or table mismatch,
 2 usage errors, bad input, or inconclusive results.
+
+A --config file's `quadrature` section is the inversion's rule, read by
+`invert` only; the function being inverted runs at the library's default.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .core import CutPlanePoint
 from .errors import InvalidArgumentError, PolyherglotzError
 from .functions import catalogue, function_from_dict
 from .measures import MU2, measure_from_dict, measure_to_dict
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import QuadratureConfig
 
 
 def parse_complex(text: str) -> complex:
@@ -65,14 +68,14 @@ def _relaxed_json(text: str) -> dict:
     return json.loads(quoted)
 
 
-def parse_function(text: str, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def parse_function(text: str):
     text = text.strip()
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            return function_from_dict(json.load(fh), cfg)
+            return function_from_dict(json.load(fh))
     if text.startswith("{"):
-        return function_from_dict(_relaxed_json(text), cfg)
-    return function_from_dict(_shorthand_descriptor(text), cfg)
+        return function_from_dict(_relaxed_json(text))
+    return function_from_dict(_shorthand_descriptor(text))
 
 
 def _shorthand_descriptor(text: str) -> dict:
@@ -147,8 +150,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_eval(args) -> int:
-    cfg = _from_config(_load_config(args.config), "quadrature", DEFAULT_CONFIG)
-    f = parse_function(args.fn, cfg)
+    f = parse_function(args.fn)
     p = parse_point(args.point)
     val, err = f.evaluate(p)
     record = {
@@ -168,7 +170,7 @@ _CHECK_NAMES = ("symmetry", "nondep", "positivity", "characterize")
 
 def cmd_check(args) -> int:
     cfg = _load_config(args.config)
-    f = parse_function(args.fn, _from_config(cfg, "quadrature", DEFAULT_CONFIG))
+    f = parse_function(args.fn)
     which = args.which
     # without --tol each check keeps its own default tolerance
     tol = {} if args.tol is None else {"tol": args.tol}
@@ -278,7 +280,7 @@ def cmd_invert(args) -> int:
     cfg = _load_config(args.config)
     quad = _from_config(cfg, "quadrature", analysis._INVERSION_QUAD)
     limits = _from_config(cfg, "limits", analysis.DEFAULT_LIMITS)
-    f = parse_function(args.fn, _from_config(cfg, "quadrature", DEFAULT_CONFIG))
+    f = parse_function(args.fn)
     phi = _parse_phi(args.phi)
     conv_tol = {} if args.tol is None else {"conv_tol": args.tol}
     if args.mode == "classic":
@@ -305,7 +307,7 @@ _OPTIONS = {
         "default": analysis.DEFAULT_SEED,
         "help": "seed of the sampled points; the nondep probes are fixed, so it ignores the seed",
     },
-    "config": {"help": "JSON file with quadrature/limit overrides"},
+    "config": {"help": "JSON file with limit and inversion-quadrature overrides"},
     "tol": {"type": float, "default": None},
 }
 
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="evaluate a function at a point")
     pe.add_argument("--fn", required=True)
     pe.add_argument("--point", required=True, help='comma-separated a+bi, e.g. "4i,4i"')
-    options(pe, "out", "config")
+    options(pe, "out")
     pe.set_defaults(func=cmd_eval)
 
     pc = sub.add_parser("check", help="run a property check")

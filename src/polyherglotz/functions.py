@@ -21,7 +21,8 @@ against its measure.  A(z, .) is the pole pair (z, -i), so both products
 are `measures.pair_integral`s; the second does not depend on z and is
 computed once, at construction.  Product measures are thereby exact,
 atomic measures are summed, and curve measures take one line quadrature
-per evaluation.
+per evaluation, at the `quadrature` module's default tolerances: no
+function takes a quadrature setting.
 
 Every function object exposes `measure`: the defining measure of a
 Cauchy-type function or a catalogue entry that has one, the representing
@@ -49,27 +50,23 @@ from .measures import (
     measure_from_dict,
     pair_integral,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 
 class CauchyTypeFunction:
     """g(z) = (1/pi^n) integral K_n(z, t) dmu(t) on the whole cut-plane."""
 
-    def __init__(self, measure: Measure, config: QuadratureConfig = DEFAULT_CONFIG):
+    def __init__(self, measure: Measure):
         self.measure = measure
-        self.config = config
         self.dimension = measure.dimension
         self._prefactor = 1.0 / math.pi**self.dimension
         # integral of prod A(i, t_l) dmu, the growth integral
-        self._growth, self._growth_err = pair_integral(
-            measure, [(1j, -1j)] * self.dimension, config
-        )
+        self._growth, self._growth_err = pair_integral(measure, [(1j, -1j)] * self.dimension)
 
     def evaluate(self, z) -> tuple:
         zs = z.coords if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z)).coords
         if len(zs) != self.dimension:
             raise InvalidArgumentError("point dimension does not match measure")
-        val, err = pair_integral(self.measure, [(c, -1j) for c in zs], self.config)
+        val, err = pair_integral(self.measure, [(c, -1j) for c in zs])
         return (
             self._prefactor * (1j * (2.0 * val - self._growth)),
             self._prefactor * (2.0 * err + self._growth_err),
@@ -79,7 +76,7 @@ class CauchyTypeFunction:
         return self.evaluate(z)[0]
 
     def _at(self, zs: tuple) -> complex:
-        val, _ = pair_integral(self.measure, [(c, -1j) for c in zs], self.config)
+        val, _ = pair_integral(self.measure, [(c, -1j) for c in zs])
         return self._prefactor * (1j * (2.0 * val - self._growth))
 
 
@@ -113,12 +110,11 @@ class HerglotzFunction:
     components it is the symmetric extension (not the analytic one).
     """
 
-    def __init__(self, triple: HerglotzTriple, config: QuadratureConfig = DEFAULT_CONFIG):
+    def __init__(self, triple: HerglotzTriple):
         self.triple = triple
         self.measure = triple.mu
-        self.config = config
         self.dimension = triple.mu.dimension
-        self._cauchy = CauchyTypeFunction(triple.mu, config)
+        self._cauchy = CauchyTypeFunction(triple.mu)
 
     def evaluate(self, z) -> tuple:
         p = z if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z))
@@ -294,16 +290,16 @@ F4_NEVANLINNA_MEASURE = MeasureSum(
 # ---------------------------------------------------------------------------
 # Function descriptor JSON
 
-def function_from_dict(obj: dict, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def function_from_dict(obj: dict):
     try:
-        return _function_from_dict(obj, cfg)
+        return _function_from_dict(obj)
     except (KeyError, TypeError) as e:
         raise InvalidArgumentError(
             f"malformed function descriptor ({type(e).__name__}: {e})"
         ) from e
 
 
-def _function_from_dict(obj: dict, cfg: QuadratureConfig):
+def _function_from_dict(obj: dict):
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidArgumentError("function descriptor needs a 'type' field")
     kind = obj["type"]
@@ -318,16 +314,16 @@ def _function_from_dict(obj: dict, cfg: QuadratureConfig):
     if kind == "cauchy":
         if set(obj) - {"type", "measure"}:
             raise InvalidArgumentError("unknown fields in cauchy descriptor")
-        return CauchyTypeFunction(measure_from_dict(obj["measure"]), cfg)
+        return CauchyTypeFunction(measure_from_dict(obj["measure"]))
     if kind == "herglotz":
         if set(obj) - {"type", "a", "b", "measure"}:
             raise InvalidArgumentError("unknown fields in herglotz descriptor")
         triple = HerglotzTriple(
             obj["a"], tuple(obj["b"]), measure_from_dict(obj["measure"])
         )
-        return HerglotzFunction(triple, cfg)
+        return HerglotzFunction(triple)
     raise InvalidArgumentError(f"unknown function type {kind!r}")
 
 
-def function_from_json(text: str, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    return function_from_dict(json.loads(text), cfg)
+def function_from_json(text: str):
+    return function_from_dict(json.loads(text))

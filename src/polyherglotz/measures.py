@@ -37,7 +37,7 @@ from scipy.special import wofz
 from .core import CutPlanePoint
 from .errors import DivergenceError, InvalidArgumentError, InvalidMeasureError
 from .kernels import _n_pairs, _pair
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_line, integrate_rn
+from .quadrature import integrate_line, integrate_rn
 
 # name -> (density w(t), its Cauchy transform C(z) for Im z > 0, and the
 # poles of w in C+ with their multiplicity: w(t) = 1 / prod (t - a)(t - conj a))
@@ -520,7 +520,7 @@ def _weighted(f, c: float, products: list):
     return fw
 
 
-def _integrate_densities(terms: list, f, cfg: QuadratureConfig):
+def _integrate_densities(terms: list, f):
     """integral of f against a sum of scaled Lebesgue and product-density
     terms as one quadrature of f times the sum of their densities, a weight
     built once and without constant factors of 1.0; with no product term, the
@@ -539,32 +539,31 @@ def _integrate_densities(terms: list, f, cfg: QuadratureConfig):
             _check_decay(h, label)
     n = terms[0].dimension
     if not products:
-        val, err = integrate_rn(f, n, cfg)
+        val, err = integrate_rn(f, n)
         return c * val, c * err
-    return integrate_rn(_weighted(f, c, products), n, cfg)
+    return integrate_rn(_weighted(f, c, products), n)
 
 
-def integrate(
-    mu: Measure, f: Callable[[tuple], complex], cfg: QuadratureConfig = DEFAULT_CONFIG
-):
+def integrate(mu: Measure, f: Callable[[tuple], complex]):
     """integral of f dmu.  Returns (value, error_estimate).
 
     A measure is taken as the sum of its flattened terms (one term when it
     is not a sum).  All absolutely continuous terms (scaled Lebesgue with
     c > 0, product densities) are integrated as one adaptive quadrature on
     the tan-compactified axes; then atoms are summed exactly and each curve
-    takes one line quadrature, in the order of the terms.
+    takes one line quadrature, in the order of the terms.  Every quadrature
+    runs at the `quadrature` module's default tolerances.
     """
     terms = list(_flat_terms(mu))
     dense = [t for t in terms if _has_density(t)]
-    val, err = _integrate_densities(dense, f, cfg) if dense else (0j, 0.0)
+    val, err = _integrate_densities(dense, f) if dense else (0j, 0.0)
     for term in terms:
         if isinstance(term, Atomic):
             val += sum((w * f(p) for p, w in zip(term.points, term.weights)), 0j)
         elif isinstance(term, CurvePushforward) and term.scale != 0.0:
             g = lambda s, w=term.weight._fn: f(term.at(s)) * w(s)
             _check_decay(g, "curve parameter")
-            v, e = integrate_line(g, cfg)
+            v, e = integrate_line(g)
             val += term.scale * v
             err += term.scale * e
         elif not isinstance(term, (LebesgueScaled, ProductDensity, CurvePushforward)):
@@ -608,13 +607,12 @@ def boundary_hints(mu: Measure, prefix: tuple, y: float) -> list:
 _HINT_IM = 1e-2
 
 
-def pair_integral(
-    mu: Measure, pairs: Sequence[tuple], cfg: QuadratureConfig = DEFAULT_CONFIG
-):
+def pair_integral(mu: Measure, pairs: Sequence[tuple]):
     """integral of prod_l pair(p_l, q_l)(t_l) dmu for nonreal poles.
 
     `pairs` holds one (p_l, q_l) per axis.  Returns (value, error_estimate);
-    every variant but the curve is exact and reports 0.0.
+    every variant but the curve is exact and reports 0.0.  The curve takes
+    one line quadrature at the `quadrature` module's default tolerances.
     """
     if isinstance(mu, LebesgueScaled):
         # every axis is the constant density, c on the first and 1 on the rest
@@ -637,7 +635,7 @@ def pair_integral(
     if isinstance(mu, MeasureSum):
         val, err = 0j, 0.0
         for term in mu.terms:
-            v, e = pair_integral(term, pairs, cfg)
+            v, e = pair_integral(term, pairs)
             val += v
             err += e
         return val, err
@@ -652,7 +650,7 @@ def pair_integral(
                 v *= 1.0 / (s - p) - 1.0 / (s - q)
             return v
 
-        val, err = integrate_line(g, cfg, _near_axis(poles), complex_func=True)
+        val, err = integrate_line(g, singularities=_near_axis(poles), complex_func=True)
         return const * val, abs(const) * err
 
     raise InvalidArgumentError(f"unknown measure variant {type(mu).__name__}")

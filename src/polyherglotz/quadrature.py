@@ -51,6 +51,7 @@ class QuadratureConfig:
                 raise InvalidArgumentError(f"tolerances must be positive and finite, got {tol!r}")
 
 
+#: The rule of every quadrature but Stieltjes inversion's, which takes its own.
 DEFAULT_CONFIG = QuadratureConfig()
 
 #: Each adaptive `quad` pass bisects at most this many subintervals.
@@ -137,9 +138,6 @@ def integrate_rn(
     line: a real f gives a float and takes one `quad` pass per line.
     """
     complex_func = _is_complex(f((0.0,) * n))
-    if n == 1:
-        return integrate_line(lambda t: f((t,)), cfg, hints(()) if hints else (), complex_func)
-
     inner = replace(
         cfg,
         abs_tol=cfg.abs_tol * _INNER_TOL_FACTOR,

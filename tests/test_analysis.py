@@ -375,6 +375,25 @@ def test_phi_bound_violation_detected():
         _spot_check_bound(bad)
 
 
+@pytest.mark.parametrize(
+    "value, bound", [(math.nan, 1.0), (0.5, math.nan)], ids=["nan-value", "nan-bound"]
+)
+def test_phi_bound_check_rejects_nan(value, bound):
+    from polyherglotz.analysis import TestFunction
+
+    phi = TestFunction("nan", 1, bound, lambda x: value / (1.0 + x[0] ** 2))
+    with pytest.raises(TestFunctionBoundError):
+        _spot_check_bound(phi)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_phi_gaussian_needs_a_positive_finite_sigma(sigma):
+    # 0 divided by zero, NaN made a NaN estimate, and inf made phi == 1,
+    # which is not admissible yet passed the spot check
+    with pytest.raises(InvalidArgumentError):
+        phi_gaussian(2, sigma)
+
+
 def test_stieltjes_classic_1d_atomic_style():
     # h(z) = i matches Lebesgue measure: integral of phi recovers pi
     g = CauchyTypeFunction(LebesgueScaled(1.0, 1))

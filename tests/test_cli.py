@@ -1,8 +1,10 @@
+import inspect
 import json
 import math
 
 import pytest
 
+from polyherglotz import QuadratureConfig, analysis, measures, quadrature
 from polyherglotz.cli import (
     format_complex,
     main,
@@ -213,10 +215,39 @@ def test_tol_must_be_positive_and_finite(argv, capsys):
 
 @pytest.mark.parametrize("limits", [{"y_sequnce": [0.5]}, {"y_sequence": 0.5}])
 def test_config_is_checked_where_a_section_is_not_read(limits, tmp_path, capsys):
+    # check symmetry reads no limits
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"limits": limits}))
-    assert main(["eval", "--fn", "catalogue:f7", "--point", "i,i", "--config", str(path)]) == 2
+    assert main(["check", "symmetry", "--fn", "catalogue:f7", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_invert_applies_the_quadrature_section_to_the_inversion_only(
+    monkeypatch, tmp_path, capsys
+):
+    line_cfgs, rules = [], []
+
+    def record_line(*args, **kwargs):
+        bound = inspect.signature(quadrature.integrate_line).bind(*args, **kwargs)
+        bound.apply_defaults()
+        line_cfgs.append(bound.arguments["cfg"])
+        return quadrature.integrate_line(*args, **kwargs)
+
+    def one_node(integrand, n, quad, hints=None):
+        # the rule is recorded and MU2 evaluated at one ladder point; a full
+        # quadrature of this curve-backed function takes minutes
+        rules.append(quad)
+        return integrand((0.25,) * n), 0.0
+
+    monkeypatch.setattr(measures, "integrate_line", record_line)
+    monkeypatch.setattr(analysis, "integrate_rn", one_node)
+    rule = {"abs_tol": 1e-6, "rel_tol": 1e-5}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"quadrature": rule, "limits": {"y_sequence": [0.5, 0.25]}}))
+    main(["invert", "--fn", "cauchy:mu2", "--phi", "cauchy2d", "--config", str(path)])
+    capsys.readouterr()
+    assert rules == [QuadratureConfig(**rule)] * 2
+    assert line_cfgs and all(cfg == quadrature.DEFAULT_CONFIG for cfg in line_cfgs)
 
 
 def test_characterize_takes_no_tol(capsys):
@@ -236,6 +267,7 @@ def test_usage_errors(capsys):
     for argv in (
         ["eval", "--fn", "catalogue:f7", "--point", "i,i", "--seed", "3"],
         ["eval", "--fn", "catalogue:f7", "--point", "i,i", "--tol", "1e-3"],
+        ["eval", "--fn", "catalogue:f7", "--point", "i,i", "--config", "missing.json"],
         ["reproduce-tables", "--config", "missing.json"],
         ["reproduce-tables", "--tol", "1e-3"],
         ["invert", "--fn", "cauchy:lebesgue1", "--phi", "cauchy1d", "--seed", "3"],

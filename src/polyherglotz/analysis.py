@@ -299,12 +299,16 @@ def reconstruct_from_upper(f_upper, z: CutPlanePoint) -> complex:
 
 @dataclass(slots=True)
 class StoltzResult:
+    """`estimate` and `samples` come from the given base's ray alone; the
+    alternate bases add their distance to it (`base_spread`, the largest)
+    and their convergence."""
+
     estimate: complex
     converged: bool
     direction: str
     axis: int
     base_spread: float
-    samples: tuple  # f(z)/z_j along the ray from the given base
+    samples: tuple  # f(z)/z_j at every radius of the ray from the given base
     limits: LimitConfig
 
     @property
@@ -337,13 +341,19 @@ def stoltz_limit(
 
     `j` is 1-based.  The estimate is Richardson-extrapolated in the steps
     1/r of the radius sequence; alternate bases probe independence from
-    the non-j coordinates.
+    the non-j coordinates.  Alternate k sets non-j coordinate i to
+    `_ALT_BASE_COORDS[(k + i) % 4]`: at most 4 are distinct, and for n = 1
+    each is the base.  Each distinct one that differs from the base is
+    evaluated once, at the last order + 2 radii, all that its final
+    extrapolant and its convergence read.
     """
     if direction not in ("upper", "lower"):
         raise InvalidArgumentError("direction must be 'upper' or 'lower'")
     n = f.dimension
-    if not 1 <= j <= n:
-        raise InvalidArgumentError(f"axis {j} out of range for dimension {n}")
+    if not isinstance(j, numbers.Integral) or not 1 <= j <= n:
+        raise InvalidArgumentError(f"axis {j!r} must be an int in 1..{n}")
+    if not isinstance(base_alternates, numbers.Integral) or base_alternates < 0:
+        raise InvalidArgumentError(f"base_alternates {base_alternates!r} must be an int >= 0")
     jj = j - 1
     if not isinstance(base, CutPlanePoint):
         base = CutPlanePoint(tuple(base))
@@ -354,20 +364,24 @@ def stoltz_limit(
     ray = [r * phase for r in cfg.radius_sequence]
     steps = [1.0 / r for r in cfg.radius_sequence]
     g = _on_coords(f, base.n)
+
+    def along(coords, radii):
+        """(final extrapolant, converged, f(z)/z_j) on the last `radii` radii."""
+        head, tail = coords[:jj], coords[jj + 1 :]
+        values = [g(head + (zj,) + tail) / zj for zj in ray[-radii:]]
+        running, converged = _extrapolate(values, steps[-radii:], _STOLTZ_TOL)
+        return running[-1], converged, values
+
+    est, converged, values = along(base.coords, len(ray))
     alts = _ALT_BASE_COORDS
-    bases = [base.coords] + [
+    others = dict.fromkeys(
         tuple(base.coords[i] if i == jj else alts[(k + i) % len(alts)] for i in range(n))
         for k in range(base_alternates)
-    ]
-    limits = []  # (estimate, converged, f(z)/z_j along the ray) per base
-    for coords in bases:
-        head, tail = coords[:jj], coords[jj + 1 :]
-        values = [g(head + (zj,) + tail) / zj for zj in ray]
-        running, converged = _extrapolate(values, steps, _STOLTZ_TOL)
-        limits.append((running[-1], converged, values))
-    est, _, values = limits[0]
-    spread = max([0.0] + [abs(e - est) for e, _, _ in limits[1:]])
-    converged = all(c for _, c, _ in limits)
+    )
+    others.pop(base.coords, None)
+    limits = [along(coords, _EXTRAPOLATION_ORDER + 2)[:2] for coords in others]
+    spread = max([0.0] + [abs(e - est) for e, _ in limits])
+    converged = converged and all(c for _, c in limits)
     return StoltzResult(est, converged, direction, j, spread, tuple(values), cfg)
 
 

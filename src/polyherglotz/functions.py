@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import CutPlanePoint, _on_coords
+from .core import MAX_DIMENSION, CutPlanePoint, _on_coords
 from .errors import InvalidArgumentError, UnknownCatalogueIdError
 from .measures import (
     MU2,
@@ -136,13 +136,21 @@ class ClosedFormFunction:
     Evaluation refuses points whose component has no branch; the catalogue
     entries define all four components of the two-variable cut-plane.
     A branch takes the n coordinates and returns a complex value.
+    `branches` is read once, at construction, into a table indexed by the
+    bitmask of the lower axes (bit j set when Im z_(j+1) < 0, as in `core`).
     """
 
     def __init__(self, name, dimension, branches, measure=None):
+        if not isinstance(dimension, int) or not 1 <= dimension <= MAX_DIMENSION:
+            raise InvalidArgumentError(f"dimension must be an int in 1..{MAX_DIMENSION}")
         self.name = name
         self.dimension = dimension
         self.branches = branches
         self.measure = measure  # defining measure, when the function is Cauchy-type
+        self._table = [
+            branches.get(tuple([-1 if mask >> j & 1 else 1 for j in range(dimension)]))
+            for mask in range(1 << dimension)
+        ]
 
     def evaluate(self, z) -> tuple:
         return self(z), 0.0
@@ -156,9 +164,12 @@ class ClosedFormFunction:
         return self._at(zs)
 
     def _at(self, zs: tuple) -> complex:
-        signs = tuple([1 if c.imag > 0 else -1 for c in zs])
-        branch = self.branches.get(signs)
+        mask = 0
+        for c in reversed(zs):
+            mask = 2 * mask + (c.imag < 0)
+        branch = self._table[mask]
         if branch is None:
+            signs = tuple([1 if c.imag > 0 else -1 for c in zs])
             raise InvalidArgumentError(
                 f"{self.name} has no branch for component {signs}"
             )

@@ -334,6 +334,15 @@ def test_stoltz_validation():
         stoltz_limit(catalogue("f7"), 1, base, direction="sideways")
 
 
+@pytest.mark.parametrize(
+    "j, alternates",
+    [(1.5, 3), (2, -2), (2, 2.5), (1, "3"), (0, 3), (3, 3)],
+)
+def test_stoltz_limit_needs_int_axis_and_alternates(j, alternates):
+    with pytest.raises(InvalidArgumentError):
+        stoltz_limit(catalogue("f2"), j, point(1j, 1j), base_alternates=alternates)
+
+
 # --- characterization ---------------------------------------------------------
 
 def test_characterize_f7_passes():

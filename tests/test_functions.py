@@ -4,6 +4,7 @@ import pytest
 
 from polyherglotz import (
     CauchyTypeFunction,
+    ClosedFormFunction,
     F4_DEFINING_MEASURE,
     F4_NEVANLINNA_MEASURE,
     HerglotzFunction,
@@ -51,6 +52,42 @@ def test_catalogue_unknown_id():
 def test_catalogue_dimension_check():
     with pytest.raises(InvalidArgumentError):
         catalogue("f7")(point(1j))
+
+
+@pytest.mark.parametrize("fid", [f"f{k}" for k in range(8)])
+def test_closed_form_branch_table_is_the_branch_dict(rng, fid):
+    f = catalogue(fid)
+    for signs in COMPONENT_POINTS:
+        for _ in range(5):
+            zs = random_cut_point(rng, 2, signs).coords
+            assert repr(f._at(zs)) == repr(f.branches[signs](*zs)), signs
+
+
+def test_closed_form_in_three_variables(rng):
+    # a distinct closed form on each of the 8 components
+    components = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
+    branches = {
+        s: (lambda z1, z2, z3, k=k: k + z1 * z2 - 1 / z3) for k, s in enumerate(components)
+    }
+    f = ClosedFormFunction("g3", 3, branches)
+    for signs, branch in branches.items():
+        zs = random_cut_point(rng, 3, signs).coords
+        assert repr(f._at(zs)) == repr(f(point(*zs))) == repr(branch(*zs)), signs
+    del branches[(1, -1, 1)]
+    g = ClosedFormFunction("g3", 3, branches)
+    assert g(point(1j, 2j, 3j)) == f(point(1j, 2j, 3j))
+    z = point(1j, -2j, 3j)
+    for at in (g, lambda z: g._at(z.coords)):
+        with pytest.raises(
+            InvalidArgumentError, match=r"^g3 has no branch for component \(1, -1, 1\)$"
+        ):
+            at(z)
+
+
+@pytest.mark.parametrize("dimension", [0, 9, 2.0])
+def test_closed_form_dimension_must_be_an_int_in_range(dimension):
+    with pytest.raises(InvalidArgumentError):
+        ClosedFormFunction("g", dimension, {})
 
 
 def test_cauchy_lambda2_is_plus_minus_i(rng):

@@ -31,6 +31,7 @@ from polyherglotz import (
     stieltjes_cauchy_type,
 )
 from polyherglotz.analysis import (
+    _EXTRAPOLATION_ORDER,
     _INVERSION_QUAD,
     DEFAULT_LIMITS,
     _LinearlyShifted,
@@ -174,6 +175,25 @@ def test_stoltz_limits_are_bit_identical(name):
             assert repr(got) == repr(oracle_stoltz(f, j, base, direction))
 
 
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_stoltz_limits_match_the_full_oracle_at_every_alternate_count(name):
+    """The oracle evaluates every alternate's full ray, duplicates and
+    copies of the base included; the second base makes alternate 0 a copy."""
+    f = FUNCTIONS[name]
+    n = f.dimension
+    seeded = seeded_point(np.random.default_rng(7), (1,) * n)
+    for base in (seeded, analysis._ALT_BASE_COORDS[:n]):
+        for alternates in range(10):
+            j = 1 + alternates % n
+            for direction in ("upper", "lower"):
+                s = stoltz_limit(
+                    f, j, base, direction=direction, base_alternates=alternates
+                )
+                got = (s.estimate, s.converged, s.base_spread, list(s.samples))
+                want = oracle_stoltz(f, j, base, direction, base_alternates=alternates)
+                assert repr(got) == repr(want), (base, alternates, direction)
+
+
 # --- work counts -----------------------------------------------------------------
 
 
@@ -218,6 +238,27 @@ def test_stoltz_limit_validates_only_its_base(monkeypatch):
     assert built == []
     stoltz_limit(f2, 2, base.coords, direction="lower")
     assert set(built) == {base.coords}
+
+
+@pytest.mark.parametrize(
+    "name, alternates, calls",
+    [
+        ("f2", 0, 10),
+        ("f2", 3, 22),
+        ("f2", 9, 26),
+        ("lambda3", 9, 26),
+        ("herglotz1", 3, 10),
+        ("herglotz1", 9, 10),
+    ],
+)
+def test_stoltz_limit_evaluates_each_distinct_ray_once(monkeypatch, name, alternates, calls):
+    """The base's 10 radii, and the last 4 of each distinct alternate: at
+    most 4 differ from each other, and in one variable all are the base."""
+    f = FUNCTIONS[name]
+    seen = count_calls(monkeypatch, f, "_at")
+    base = (0.5 + 1.1j, -0.3 + 0.7j, 1.2 + 0.4j)[: f.dimension]
+    stoltz_limit(f, 1, base, base_alternates=alternates)
+    assert len(seen) == calls
 
 
 def test_inversion_row_validates_no_point(monkeypatch):
@@ -298,7 +339,8 @@ def test_a_function_without_at_sees_only_validated_points():
     assert repr(reconstruct_from_upper(restrict_to_upper(g), z)) == repr(
         reconstruct_from_upper(restrict_to_upper(f2), z)
     )
-    rays = 4 * len(DEFAULT_LIMITS.radius_sequence)
+    # the base's full ray, and the last order + 2 radii of each of 3 alternates
+    rays = len(DEFAULT_LIMITS.radius_sequence) + 3 * (_EXTRAPOLATION_ORDER + 2)
     assert len(g.seen) == 4 + rays + 1
     assert all(type(p) is CutPlanePoint for p in g.seen)
 

@@ -19,7 +19,9 @@ validated point through it (`core._on_coords`), so it builds no point.
 A Cauchy-type function integrates K_n = i(2 prod A(z_l, t_l) - prod A(i, t_l))
 against its measure.  A(z, .) is the pole pair (z, -i), so both products
 are `measures.pair_integral`s; the second does not depend on z and is
-computed once, at construction.  Product measures are thereby exact,
+computed once, at construction.  An evaluation has checked its point's
+dimension, which is the measure's, so it skips `pair_integral`'s own
+check of the pair count.  Product measures are thereby exact,
 atomic measures are summed, and curve measures take one line quadrature
 per evaluation, at the `quadrature` module's default tolerances: no
 function takes a quadrature setting.
@@ -46,6 +48,7 @@ from .measures import (
     Measure,
     MeasureSum,
     ProductDensity,
+    _pair_integral,
     constant_density,
     measure_from_dict,
     pair_integral,
@@ -66,7 +69,7 @@ class CauchyTypeFunction:
         zs = z.coords if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z)).coords
         if len(zs) != self.dimension:
             raise InvalidArgumentError("point dimension does not match measure")
-        val, err = pair_integral(self.measure, [(c, -1j) for c in zs])
+        val, err = _pair_integral(self.measure, [(c, -1j) for c in zs])
         return (
             self._prefactor * (1j * (2.0 * val - self._growth)),
             self._prefactor * (2.0 * err + self._growth_err),
@@ -76,7 +79,7 @@ class CauchyTypeFunction:
         return self.evaluate(z)[0]
 
     def _at(self, zs: tuple) -> complex:
-        val, _ = pair_integral(self.measure, [(c, -1j) for c in zs])
+        val, _ = _pair_integral(self.measure, [(c, -1j) for c in zs])
         return self._prefactor * (1j * (2.0 * val - self._growth))
 
 

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import wofz
 
-from .core import CutPlanePoint
+from .core import MAX_DIMENSION, CutPlanePoint
 from .errors import DivergenceError, InvalidArgumentError, InvalidMeasureError
 from .kernels import _n_pairs, _pair
 from .quadrature import integrate_line, integrate_rn
@@ -63,14 +64,17 @@ class DensityDescriptor:
     params: tuple = ()
 
     def __post_init__(self):
+        rational = None  # (c, poles a in C+) of w = c / prod (t - a)(t - conj a)
         if self.form == "constant":
             if len(self.params) != 1 or not 0 <= self.params[0] < math.inf:
                 raise InvalidMeasureError("constant density needs a finite c >= 0")
             fn = lambda t, c=self.params[0]: c
+            rational = (self.params[0], ())
         elif self.form == "cauchy_weight":
             if self.params:
                 raise InvalidMeasureError("cauchy_weight takes no parameters")
             fn = lambda t: 1.0 / (1.0 + t * t)
+            rational = (1.0, (1j,))
         elif self.form == "gaussian":
             if len(self.params) != 2 or not (
                 math.isfinite(self.params[0]) and 0 < self.params[1] < math.inf
@@ -84,9 +88,16 @@ class DensityDescriptor:
                     f"unknown rational_table entry {self.params!r}"
                 )
             fn = _RATIONAL_TABLE[self.params[0]][0]
+            rational = (1.0, _RATIONAL_TABLE[self.params[0]][2])
         else:
             raise InvalidMeasureError(f"unknown density form {self.form!r}")
-        object.__setattr__(self, "_fn", fn)  # the formula, resolved once for every caller
+        # the formula and the line-integral data (c, poles, their conjugates;
+        # None for the Gaussian, which is entire), resolved once for every caller
+        object.__setattr__(self, "_fn", fn)
+        if rational is not None:
+            c, poles = rational
+            rational = (c, poles, tuple(a.conjugate() for a in poles))
+        object.__setattr__(self, "_rational", rational)
 
     def __reduce__(self):  # pickle and copy rebuild `_fn` from the fields
         return type(self), (self.form, self.params)
@@ -136,39 +147,45 @@ class DensityDescriptor:
         The Gaussian is entire and takes `_faddeeva_divided_difference`
         instead.
         """
-        if self.form == "gaussian":
+        if self._rational is None:
             m, s = self.params
             dd = _faddeeva_divided_difference(nodes, m, s * math.sqrt(2.0))
             return 1j * math.pi * dd / (s * math.sqrt(2.0 * math.pi))
-        if self.form == "constant":
-            c, poles = self.params[0], ()
-        elif self.form == "cauchy_weight":
-            c, poles = 1.0, (1j,)
-        else:
-            c, poles = 1.0, _RATIONAL_TABLE[self.params[0]][2]
+        c, poles, conj_poles = self._rational
+        upper, lower = [], []
+        for r in nodes:
+            if r.imag > 0:
+                upper.append(r)
+            elif r.imag < 0:
+                lower.append(r)
+        upper += poles
+        if not upper:
+            return 0j
         # nodes near the real axis come last in C+ and first in C-: a pair
         # of them across the axis then makes one large entry, which later
         # substitutions only add to
-        by_height = lambda r: -r.imag
-        upper = sorted([r for r in nodes if r.imag > 0] + list(poles), key=by_height)
-        if not upper:
-            return 0j
-        lower = sorted([r for r in nodes if r.imag < 0] + [a.conjugate() for a in poles], key=by_height)
+        upper.sort(key=_IMAG, reverse=True)
+        lower += conj_poles
+        lower.sort(key=_IMAG, reverse=True)
         v = [1.0] + [0.0] * (len(upper) - 1)
-        for l in lower:
-            v = _solve(upper, l, v)
-        return 2j * math.pi * c * v[-1]
+        return 2j * math.pi * c * _solve(upper, lower, v)[-1]
 
 
-def _solve(nodes: list, pole: complex, v: list) -> list:
-    """(J - pole)^-1 v by forward substitution, J lower bidiagonal with
-    `nodes` on its diagonal and ones below it.  From v = e_0 it gives the
-    divided differences of 1/(r - pole) over the leading nodes."""
-    out, prev = [], 0j
-    for x, b in zip(nodes, v):
-        prev = (b - prev) / (x - pole)
-        out.append(prev)
-    return out
+# Sorting by this key in reverse is stable, as sorting by -Im r is.
+_IMAG = operator.attrgetter("imag")
+
+
+def _solve(nodes: list, poles, v: list) -> list:
+    """prod over `poles` of (J - pole)^-1 v, in place: one forward
+    substitution per pole, J lower bidiagonal with `nodes` on its diagonal
+    and ones below it.  From v = e_0 it gives the divided differences of
+    1 / prod (r - pole) over the leading nodes."""
+    for pole in poles:
+        prev = 0j
+        for k, x in enumerate(nodes):
+            prev = (v[k] - prev) / (x - pole)
+            v[k] = prev
+    return v
 
 
 def _faddeeva(zeta: complex) -> complex:
@@ -300,10 +317,7 @@ def _cluster_divided_difference(series, run: list) -> complex:
     lower = [x for x in run if x.imag < 0]
     if not lower:
         return dd
-    v = [1.0] + [0.0] * (len(lower) - 1)
-    for u in run:
-        if u.imag > 0:
-            v = _solve(lower, u, v)
+    v = _solve(lower, [u for u in run if u.imag > 0], [1.0] + [0.0] * (len(lower) - 1))
     jump = sum(
         a * _taylor_divided_difference(center, radius, exp_series, lower[k:])
         for k, a in enumerate(v)
@@ -345,6 +359,12 @@ def rational_density(name: str) -> DensityDescriptor:
     return DensityDescriptor("rational_table", (name,))
 
 
+def _check_dimension(n, what: str) -> None:
+    """Reject a dimension that is not an int (a bool is not) in 1..MAX_DIMENSION."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
+        raise InvalidMeasureError(f"{what} must be an int in 1..{MAX_DIMENSION}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Atomic:
     points: tuple  # tuple of real n-vectors
@@ -362,10 +382,13 @@ class Atomic:
             raise InvalidMeasureError("atomic weights must be finite and >= 0")
         if not all(math.isfinite(x) for p in points for x in p):
             raise InvalidMeasureError("atom coordinates must be finite")
+        if self.dim is not None:
+            _check_dimension(self.dim, "atomic dim")
         if points:
             n = len(points[0])
             if any(len(p) != n for p in points):
                 raise InvalidMeasureError("atoms have inconsistent dimensions")
+            _check_dimension(n, "atom dimension")
             if self.dim is not None and self.dim != n:
                 raise InvalidMeasureError("dim does not match atom dimension")
             object.__setattr__(self, "dim", n)
@@ -385,8 +408,7 @@ class LebesgueScaled:
     def __post_init__(self):
         if not 0 <= self.c < math.inf:
             raise InvalidMeasureError("Lebesgue scale must be finite and >= 0")
-        if self.dim < 1:
-            raise InvalidMeasureError("dimension must be >= 1")
+        _check_dimension(self.dim, "Lebesgue dimension")
 
     @property
     def dimension(self) -> int:
@@ -398,9 +420,11 @@ class ProductDensity:
     factors: tuple  # of DensityDescriptor
 
     def __post_init__(self):
-        if not self.factors:
-            raise InvalidMeasureError("product density needs >= 1 factor")
-        object.__setattr__(self, "factors", tuple(self.factors))
+        factors = tuple(self.factors)
+        object.__setattr__(self, "factors", factors)
+        _check_dimension(len(factors), "product density dimension")
+        if not all(isinstance(w, DensityDescriptor) for w in factors):
+            raise InvalidMeasureError("product density factors must be DensityDescriptors")
 
     @property
     def dimension(self) -> int:
@@ -423,6 +447,9 @@ class CurvePushforward:
         object.__setattr__(self, "beta", beta)
         if len(alpha) != len(beta):
             raise InvalidMeasureError("alpha and beta lengths differ")
+        _check_dimension(len(alpha), "curve dimension")
+        if not isinstance(self.weight, DensityDescriptor):
+            raise InvalidMeasureError("curve weight must be a DensityDescriptor")
         if not all(math.isfinite(x) for x in alpha + beta):
             raise InvalidMeasureError("curve alpha and beta must be finite")
         if all(a == 0 for a in alpha):
@@ -613,7 +640,20 @@ def pair_integral(mu: Measure, pairs: Sequence[tuple]):
     `pairs` holds one (p_l, q_l) per axis.  Returns (value, error_estimate);
     every variant but the curve is exact and reports 0.0.  The curve takes
     one line quadrature at the `quadrature` module's default tolerances.
+    Any other number of pairs than the measure's dimension raises
+    `InvalidArgumentError`, checked once per call.
     """
+    n = getattr(mu, "dimension", None)  # an unknown variant is rejected below
+    if n is not None and len(pairs) != n:
+        raise InvalidArgumentError(
+            f"pair_integral needs one pole pair per axis: got {len(pairs)} "
+            f"for a measure of dimension {n}"
+        )
+    return _pair_integral(mu, pairs)
+
+
+def _pair_integral(mu: Measure, pairs: Sequence[tuple]):
+    """`pair_integral` for pairs already known to match the dimension."""
     if isinstance(mu, LebesgueScaled):
         # every axis is the constant density, c on the first and 1 on the rest
         val = mu.c
@@ -635,7 +675,7 @@ def pair_integral(mu: Measure, pairs: Sequence[tuple]):
     if isinstance(mu, MeasureSum):
         val, err = 0j, 0.0
         for term in mu.terms:
-            v, e = pair_integral(term, pairs)
+            v, e = _pair_integral(term, pairs)
             val += v
             err += e
         return val, err
@@ -691,7 +731,7 @@ def check_growth(mu: Measure) -> GrowthResult:
 
     1/(1+t^2) is the pole pair (i, -i).
     """
-    val, _ = pair_integral(mu, [(1j, -1j)] * mu.dimension)
+    val, _ = _pair_integral(mu, [(1j, -1j)] * mu.dimension)
     if not math.isfinite(abs(val)):
         return GrowthResult(False, math.inf)
     return GrowthResult(True, val.real)
@@ -714,35 +754,57 @@ def nevanlinna_residual(mu: Measure, z: CutPlanePoint) -> complex:
         raise InvalidArgumentError("nevanlinna residual is sampled on C+^n")
     if mu.dimension != z.n:
         raise InvalidArgumentError("measure and point dimensions differ")
-    products = _rho_products([_n_pairs(c) for c in z.coords])
+    products = _rho_products(z.coords)
     return _residual(mu, products) if products else 0j
 
 
-def _rho_products(tables: list) -> list:
-    """The sum over rho of prod_l N_rho_l as a list of products of pole
-    pairs, one pair per axis.
+def _telescoped(z: complex) -> tuple:
+    """The six pole pairs an axis of a rho product takes at z: N_-1, N_0,
+    N_1 (`_n_pairs`) and the telescoped sums N_-1 + N_0 = pair(z, -i),
+    N_0 + N_1 = pair(i, conj z) and N_-1 + N_0 + N_1 = pair(z, conj z)."""
+    minus, zero, plus = _n_pairs(z)
+    return minus, zero, plus, (minus[0], zero[1]), (zero[0], plus[1]), (minus[0], plus[1])
+
+
+def _rho_plan(n: int) -> list:
+    """The sum over rho of prod_l N_rho_l as products of pole pairs, one
+    pair per axis, each an index tuple into the `_telescoped` pairs of all
+    axes in turn (6*l + k for pair k of axis l).
 
     The axes are taken in turn, keeping the products of each prefix of rho
     by whether it holds -1 and whether it holds 1.  Where a prefix leaves
     several values free on the next axis, the product takes their sum,
-    which telescopes to one pair: N_-1 + N_0 = pair(z, -i),
-    N_0 + N_1 = pair(i, conj z) and N_-1 + N_0 + N_1 = pair(z, conj z).
-    That takes 2 products at n = 2 (the same two as rho by rho) and 6
-    instead of 12 at n = 3.  Near the real axis the telescoped pair is
-    small where its terms are large, so these products cancel far less
-    than the rho terms do.
+    which telescopes to one pair.  That takes 2 products at n = 2 (the
+    same two as rho by rho) and 6 instead of 12 at n = 3.  Near the real
+    axis the telescoped pair is small where its terms are large, so these
+    products cancel far less than the rho terms do.
     """
     neither, minus_only, plus_only, both = [()], [], [], []
-    for minus, zero, plus in tables:
+    for l in range(n):
+        minus, zero, plus, minus_zero, zero_plus, any_ = range(6 * l, 6 * l + 6)
         neither, minus_only, plus_only, both = (
             [p + (zero,) for p in neither],
-            [p + ((minus[0], zero[1]),) for p in minus_only] + [p + (minus,) for p in neither],
-            [p + ((zero[0], plus[1]),) for p in plus_only] + [p + (plus,) for p in neither],
-            [p + ((minus[0], plus[1]),) for p in both]
+            [p + (minus_zero,) for p in minus_only] + [p + (minus,) for p in neither],
+            [p + (zero_plus,) for p in plus_only] + [p + (plus,) for p in neither],
+            [p + (any_,) for p in both]
             + [p + (plus,) for p in minus_only]
             + [p + (minus,) for p in plus_only],
         )
     return both
+
+
+#: _RHO_PLANS[n] picks the products of `_rho_plan(n)` out of the
+#: `_telescoped` pairs of n axes, built once for every n <= MAX_DIMENSION
+#: (56 products at n = 8).  At n = 1 there are none.
+_RHO_PLANS = tuple(
+    tuple(operator.itemgetter(*idx) for idx in _rho_plan(n)) for n in range(MAX_DIMENSION + 1)
+)
+
+
+def _rho_products(coords: tuple) -> list:
+    """The products of `_rho_plan` at the point with these coordinates."""
+    pairs = [pair for z in coords for pair in _telescoped(z)]
+    return [get(pairs) for get in _RHO_PLANS[len(coords)]]
 
 
 def _residual(mu: Measure, products: list) -> complex:
@@ -751,23 +813,33 @@ def _residual(mu: Measure, products: list) -> complex:
         return sum((_residual(term, products) for term in mu.terms), 0j)
     if isinstance(mu, CurvePushforward):
         return sum((_curve_pair_integral(mu, pairs) for pairs in products), 0j)
-    return sum((pair_integral(mu, pairs)[0] for pairs in products), 0j)
+    return sum((_pair_integral(mu, pairs)[0] for pairs in products), 0j)
 
 
 def _curve_pair_integral(mu: CurvePushforward, pairs: Sequence[tuple]) -> complex:
     """integral of prod_l pair(p_l, q_l)(t_l) dmu against a curve, exactly.
 
-    Each factor 1/(s-p) - 1/(s-q) of `_curve_poles` is (p-q)/((s-p)(s-q)),
-    which leaves the integral of the weight over the product of (s - r)
-    for all the poles r (`DensityDescriptor._line_integral`).  A pair with
-    p = q is the zero factor.
+    Each factor 1/(s-p') - 1/(s-q') of `_curve_poles` is
+    (p'-q')/((s-p')(s-q')), which leaves the integral of the weight over
+    the product of (s - r) for all the poles r
+    (`DensityDescriptor._line_integral`).  The constant is built in
+    `_curve_poles`' order, then takes the differences p' - q' in turn.  A
+    pair with p = q is the zero factor.
     """
-    const, poles = _curve_poles(mu, pairs)
-    for p, q in poles:
-        const *= p - q
+    const, nodes, diffs = mu.scale, [], []
+    for (p, q), a, b in zip(pairs, mu.alpha, mu.beta):
+        if a == 0.0:
+            const *= _pair(p, q, b)
+        else:
+            const /= 2j * a
+            p, q = (p - b) / a, (q - b) / a
+            nodes += (p, q)
+            diffs.append(p - q)
+    for d in diffs:
+        const *= d
     if const == 0:
         return 0j
-    return const * mu.weight._line_integral([r for pq in poles for r in pq])
+    return const * mu.weight._line_integral(nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,9 @@ def test_usage_errors(capsys):
         '"measure":{"type":"lebesgue_scaled","c":1,"dimension":2}}',
         "cauchy:{type:lebesgue_scaled,c:1}",
         "herglotz:{a:1,b:5}",
+        "cauchy:{type:lebesgue_scaled,c:1,dimension:2.5}",
+        "cauchy:{type:lebesgue_scaled,c:1,dimension:9}",
+        "cauchy:lebesgue9",
     ],
 )
 def test_malformed_descriptor_is_usage_error(fn, capsys):

@@ -32,6 +32,7 @@ from polyherglotz import (
     rational_density,
 )
 from polyherglotz import measures
+from polyherglotz.core import MAX_DIMENSION
 from polyherglotz.quadrature import integrate_rn
 from conftest import count_calls
 
@@ -319,6 +320,46 @@ def test_curve_validation():
         CurvePushforward((1.0,), (0.0, 0.0), constant_density(1.0))
     with pytest.raises(InvalidMeasureError):
         CurvePushforward((1.0,), (0.0,), constant_density(1.0), -1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda d: LebesgueScaled(1.0, d),
+        lambda d: Atomic((), (), d),
+        lambda d: measure_from_dict({"type": "lebesgue_scaled", "c": 1.0, "dimension": d}),
+    ],
+    ids=["lebesgue", "atomic", "json"],
+)
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, False, 0, -1, MAX_DIMENSION + 1, "2"])
+def test_dimension_must_be_an_int_in_range(build, dim):
+    with pytest.raises(InvalidMeasureError, match=f"int in 1..{MAX_DIMENSION}"):
+        build(dim)
+    assert build(MAX_DIMENSION).dimension == MAX_DIMENSION
+
+
+def test_axis_counts_are_bounded():
+    n = MAX_DIMENSION + 1
+    with pytest.raises(InvalidMeasureError):
+        Atomic(((0.0,) * n,), (1.0,))
+    with pytest.raises(InvalidMeasureError):
+        Atomic(((),), (1.0,))
+    with pytest.raises(InvalidMeasureError):
+        CurvePushforward((1.0,) * n, (0.0,) * n, cauchy_weight())
+    with pytest.raises(InvalidMeasureError):
+        ProductDensity((cauchy_weight(),) * n)
+    n = MAX_DIMENSION
+    assert Atomic(((0.0,) * n,), (1.0,)).dimension == n
+    assert CurvePushforward((1.0,) * n, (0.0,) * n, cauchy_weight()).dimension == n
+    assert ProductDensity((cauchy_weight(),) * n).dimension == n
+
+
+@pytest.mark.parametrize("slot", ["x", None, 1.0, {"form": "cauchy_weight"}])
+def test_density_slots_are_type_checked(slot):
+    with pytest.raises(InvalidMeasureError):
+        CurvePushforward((1.0,), (0.0,), slot)
+    with pytest.raises(InvalidMeasureError):
+        ProductDensity((cauchy_weight(), slot))
 
 
 # --- Nevanlinna condition -------------------------------------------------

@@ -13,6 +13,7 @@ from polyherglotz import (
     CurvePushforward,
     F4_DEFINING_MEASURE,
     F4_NEVANLINNA_MEASURE,
+    InvalidArgumentError,
     LebesgueScaled,
     catalogue,
     check_growth,
@@ -107,6 +108,25 @@ def test_curve_pair_integral_matches_integrate(case):
     )
     got, err = pair_integral(mu, pairs)
     assert abs(got - want) <= err + want_err + 1e-10
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [MU2, LebesgueScaled(1.0, 2), measures.MeasureSum((MU2, LebesgueScaled(1.0, 2)))],
+    ids=["curve", "lebesgue", "sum"],
+)
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_pair_count_must_match_the_dimension(mu, count):
+    with pytest.raises(InvalidArgumentError, match="one pole pair per axis"):
+        pair_integral(mu, [(1j, -1j)] * count)
+
+
+def test_pair_count_is_checked_once_per_call(monkeypatch):
+    mu = measures.MeasureSum((MU2, LebesgueScaled(1.0, 2), MU2))
+    calls = count_calls(monkeypatch, measures, "_pair_integral")
+    val, _ = pair_integral(mu, [(1j, -1j)] * 2)
+    assert val == pytest.approx(2 * math.pi**2)
+    assert len(calls) == 4  # the sum, then each of its terms without a second check
 
 
 @pytest.mark.xfail(

@@ -23,7 +23,8 @@ computed once, at construction.  An evaluation has checked its point's
 dimension, which is the measure's, so it skips `pair_integral`'s own
 check of the pair count.  Product measures are thereby exact,
 atomic measures are summed, and curve measures take one line quadrature
-per evaluation, at the `quadrature` module's default tolerances: no
+per evaluation, at the `quadrature` module's default tolerances, whose two
+`quad` passes (one per part) share the integrand's node values: no
 function takes a quadrature setting.
 
 Every function object exposes `measure`: the defining measure of a

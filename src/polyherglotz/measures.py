@@ -19,13 +19,15 @@ in the curve parameter, and `_curve_pair_integral` integrates it exactly
 as a divided difference over the poles (`DensityDescriptor._line_integral`).
 The Nevanlinna residual takes every term that way, so it runs no
 quadrature for any measure of the family.  `pair_integral`'s curve branch
-is still one line quadrature, the independent oracle of the exact one.
+is still one line quadrature, the independent oracle of the exact one; its
+two `quad` passes share the integrand's node values.
 `boundary_hints` tells Stieltjes inversion where a measure's singular part
 puts spikes on each integration axis at height y, and how wide they are.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import operator
@@ -639,7 +641,9 @@ def pair_integral(mu: Measure, pairs: Sequence[tuple]):
 
     `pairs` holds one (p_l, q_l) per axis.  Returns (value, error_estimate);
     every variant but the curve is exact and reports 0.0.  The curve takes
-    one line quadrature at the `quadrature` module's default tolerances.
+    one line quadrature at the `quadrature` module's default tolerances:
+    `quad`'s two passes, one per part, share the integrand's values, so a
+    node that both passes visit is computed once.
     Any other number of pairs than the measure's dimension raises
     `InvalidArgumentError`, checked once per call.
     """
@@ -683,11 +687,17 @@ def _pair_integral(mu: Measure, pairs: Sequence[tuple]):
     if isinstance(mu, CurvePushforward):
         const, poles = _curve_poles(mu, pairs)
         w = mu.weight._fn
+        # quad's imaginary pass revisits most of the real pass's nodes;
+        # each node is computed once per call and read back after that
+        values = {}
 
         def g(s):
-            v = w(s)
-            for p, q in poles:
-                v *= 1.0 / (s - p) - 1.0 / (s - q)
+            v = values.get(s)
+            if v is None:
+                v = w(s)
+                for p, q in poles:
+                    v *= 1.0 / (s - p) - 1.0 / (s - q)
+                values[s] = v
             return v
 
         val, err = integrate_line(g, singularities=_near_axis(poles), complex_func=True)
@@ -746,7 +756,8 @@ def nevanlinna_residual(mu: Measure, z: CutPlanePoint) -> complex:
     products of `_rho_products`.  Every product is exact: a curve takes
     `_curve_pair_integral` and every other variant `pair_integral`, so no
     quadrature runs.  For n = 1 the index set is empty and the residual is
-    exactly 0.
+    exactly 0.  A curve with a slope too small for double precision raises
+    `InvalidArgumentError` (see `_curve_pair_integral`).
     """
     if not isinstance(z, CutPlanePoint):
         z = CutPlanePoint(tuple(z))
@@ -825,21 +836,38 @@ def _curve_pair_integral(mu: CurvePushforward, pairs: Sequence[tuple]) -> comple
     (`DensityDescriptor._line_integral`).  The constant is built in
     `_curve_poles`' order, then takes the differences p' - q' in turn.  A
     pair with p = q is the zero factor.
+
+    A slope alpha so small that the nodes (p - beta)/alpha, the constant or
+    the product leave double precision raises `InvalidArgumentError`:
+    the constant grows like alpha^-2 per axis while the line integral
+    shrinks, and their product would be NaN.  A zero factor still gives 0.
     """
     const, nodes, diffs = mu.scale, [], []
-    for (p, q), a, b in zip(pairs, mu.alpha, mu.beta):
-        if a == 0.0:
-            const *= _pair(p, q, b)
-        else:
-            const /= 2j * a
-            p, q = (p - b) / a, (q - b) / a
-            nodes += (p, q)
-            diffs.append(p - q)
-    for d in diffs:
-        const *= d
-    if const == 0:
-        return 0j
-    return const * mu.weight._line_integral(nodes)
+    try:
+        for (p, q), a, b in zip(pairs, mu.alpha, mu.beta):
+            if a == 0.0:
+                const *= _pair(p, q, b)
+            else:
+                const /= 2j * a
+                p, q = (p - b) / a, (q - b) / a
+                nodes += (p, q)
+                diffs.append(p - q)
+        for d in diffs:
+            const *= d
+        if const == 0:
+            return 0j
+        if cmath.isfinite(const):
+            val = const * mu.weight._line_integral(nodes)
+            if cmath.isfinite(val):
+                return val
+        elif 0 in diffs:  # a zero factor: the product vanishes however large the rest
+            return 0j
+    except OverflowError:  # a complex division by a tiny alpha, or what it feeds
+        pass
+    raise InvalidArgumentError(
+        f"the curve integral with alpha = {mu.alpha} overflows double precision: "
+        "a slope this small is outside the exact engine's range"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,19 @@ result: `_curve_pair_integral` and `nevanlinna_residual` are compared
 `repr`-equal with the straightforward versions copied below (`_curve_poles`,
 `_line_integral`, `_solve` and `_rho_products` as first written).  The
 Gaussian's Faddeeva table is shared with the library; its one change, the
-in-place `_solve`, is compared on its own.
+in-place `_solve`, is compared on its own.  The one intended difference:
+where the first version gave NaN or overflowed, at slopes so small that the
+constant leaves double precision, the engine raises InvalidArgumentError.
 """
 
+import cmath
 import itertools
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyherglotz import CurvePushforward, nevanlinna_residual, point
+from polyherglotz import CurvePushforward, InvalidArgumentError, nevanlinna_residual, point
 from polyherglotz.core import MAX_DIMENSION
 from polyherglotz.kernels import _n_pairs, _pair
 from polyherglotz.measures import (
@@ -158,13 +162,25 @@ def cases(draw, max_n=3):
 
 
 def outcome(f, *args) -> str:
-    """repr of f(*args), or the name of the arithmetic error or warning it
-    raises: a Gaussian curve with |alpha| near the underflow threshold
-    overflows its Taylor series in both versions."""
+    """repr of f(*args) when it is finite, else "non-finite", or the name
+    of the error or warning it raises."""
     try:
-        return repr(f(*args))
-    except (ArithmeticError, RuntimeWarning) as e:
+        value = f(*args)
+    except (ArithmeticError, RuntimeWarning, InvalidArgumentError) as e:
         return type(e).__name__
+    return repr(value) if cmath.isfinite(value) else "non-finite"
+
+
+def assert_same_or_refused(got: str, want: str) -> None:
+    """The engine gives the first version's bits wherever that version
+    gave a finite number or a plain error.  Where it gave NaN or
+    overflowed (|alpha| so small that the constant leaves double
+    precision), the engine raises InvalidArgumentError, or gives 0 for a
+    product with a zero factor."""
+    if want in ("non-finite", "OverflowError", "RuntimeWarning"):
+        assert got in ("InvalidArgumentError", "0j"), (got, want)
+    else:
+        assert got == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,14 +188,52 @@ def outcome(f, *args) -> str:
 def test_curve_pair_integral_is_bit_identical(case, data):
     mu, z = case
     pairs = [data.draw(st.sampled_from(_telescoped(c))) for c in z]
-    assert outcome(_curve_pair_integral, mu, pairs) == outcome(curve_pair_integral_v0, mu, pairs)
+    assert_same_or_refused(
+        outcome(_curve_pair_integral, mu, pairs), outcome(curve_pair_integral_v0, mu, pairs)
+    )
 
 
 @settings(max_examples=200, deadline=None)
 @given(cases())
 def test_nevanlinna_residual_is_bit_identical(case):
     mu, z = case
-    assert outcome(nevanlinna_residual, mu, point(*z)) == outcome(residual_v0, mu, z)
+    assert_same_or_refused(outcome(nevanlinna_residual, mu, point(*z)), outcome(residual_v0, mu, z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases(), st.floats(-320.0, -200.0))
+def test_tiny_slopes_raise_or_vanish(case, log_alpha):
+    """An axis with |alpha| <= 1e-200 makes the constant overflow: the
+    residual raises InvalidArgumentError or is 0 (in one variable, or from
+    a zero factor), never NaN or inf."""
+    mu, z = case
+    mu = CurvePushforward((10.0**log_alpha,) + mu.alpha[1:], mu.beta, mu.weight, mu.scale)
+    assert outcome(nevanlinna_residual, mu, point(*z)) in ("InvalidArgumentError", "0j")
+
+
+TINY_SLOPE_POINT = (1j, 2j, 1 + 1j)
+
+
+def test_tiny_slope_within_range_keeps_its_value():
+    mu = CurvePushforward((1e-30,) * 3, (0.0,) * 3, gaussian_density(0.4, 0.7))
+    assert abs(nevanlinna_residual(mu, point(*TINY_SLOPE_POINT)) - 0.125) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1e-60, 1e-200, 4.6e-270])
+@pytest.mark.parametrize("weight", [gaussian_density(0.4, 0.7), constant_density(1.0), cauchy_weight()],
+                         ids=["gaussian", "constant", "cauchy"])
+def test_tiny_slope_out_of_range_raises(alpha, weight):
+    mu = CurvePushforward((alpha,) * 3, (0.0,) * 3, weight)
+    with pytest.raises(InvalidArgumentError, match="overflows double precision"):
+        nevanlinna_residual(mu, point(*TINY_SLOPE_POINT))
+
+
+def test_tiny_slope_zero_factor_vanishes():
+    """At (i, i) every product holds N_-1(i, .) = pair(i, i) or
+    N_1(i, .) = pair(-i, -i), which vanish: the residual is 0 however far
+    the constant overflows."""
+    mu = CurvePushforward((1e-200, 1e-200), (0.0, 0.0), gaussian_density(0.4, 0.7))
+    assert nevanlinna_residual(mu, point(1j, 1j)) == 0j
 
 
 @settings(max_examples=100, deadline=None)

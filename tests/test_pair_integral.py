@@ -110,6 +110,66 @@ def test_curve_pair_integral_matches_integrate(case):
     assert abs(got - want) <= err + want_err + 1e-10
 
 
+def curve_pair_integral_unshared(mu, pairs):
+    """The curve branch of `pair_integral` with every node computed in each
+    of `quad`'s two passes, as it was before they shared values."""
+    const, poles = measures._curve_poles(mu, pairs)
+    w = mu.weight._fn
+
+    def g(s):
+        v = w(s)
+        for p, q in poles:
+            v *= 1.0 / (s - p) - 1.0 / (s - q)
+        return v
+
+    val, err = integrate_line(g, singularities=measures._near_axis(poles), complex_func=True)
+    return const * val, abs(const) * err
+
+
+@st.composite
+def shared_node_cases(draw):
+    """A curve whose slopes may be zero, negative or tiny, and pole pairs
+    at points down to 1e-6 from the real axis on either side."""
+    n = draw(st.integers(1, 3))
+    slopes = st.sampled_from((0.0, 1.0, -1.0, 0.5, -2.0, 1e-9, -1e-12, 1e-30))
+    alpha = draw(st.lists(slopes, min_size=n, max_size=n))
+    if not any(alpha):
+        alpha[draw(st.integers(0, n - 1))] = draw(st.sampled_from((1.0, -0.5, 1e-9)))
+    beta = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    mu = CurvePushforward(tuple(alpha), tuple(beta), draw(densities), draw(st.floats(0.1, 4.0)))
+    pairs = [
+        pairs_at(draw(z_with_im(1e-6, 5.0)))[draw(st.integers(0, 3))] for _ in range(n)
+    ]
+    return mu, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_node_cases())
+def test_curve_pair_integral_is_bit_identical_with_shared_nodes(case):
+    mu, pairs = case
+    assert repr(pair_integral(mu, pairs)) == repr(curve_pair_integral_unshared(mu, pairs))
+
+
+def test_curve_quadrature_computes_each_node_once(monkeypatch):
+    """quad's imaginary pass reads the nodes its real pass computed: each
+    distinct node costs one weight call (and one pole product), far fewer
+    than the integrand calls quad makes."""
+    weight_calls, quad_calls = [], []
+    weight = constant_density(1.0)
+    unit = weight._fn
+    object.__setattr__(weight, "_fn", lambda s: weight_calls.append(s) or unit(s))
+    mu = CurvePushforward(MU2.alpha, MU2.beta, weight, MU2.scale)
+
+    def counting_line(f, *args, **kwargs):
+        return integrate_line(lambda s: quad_calls.append(s) or f(s), *args, **kwargs)
+
+    monkeypatch.setattr(measures, "integrate_line", counting_line)
+    pairs = [(c, -1j) for c in (0.3 + 0.01j, -2 - 0.5j)]  # A(z, .) on each axis
+    assert repr(pair_integral(mu, pairs)) == repr(curve_pair_integral_unshared(MU2, pairs))
+    assert sorted(weight_calls) == sorted(set(quad_calls))
+    assert len(weight_calls) < 0.6 * len(quad_calls)
+
+
 @pytest.mark.parametrize(
     "mu",
     [MU2, LebesgueScaled(1.0, 2), measures.MeasureSum((MU2, LebesgueScaled(1.0, 2)))],

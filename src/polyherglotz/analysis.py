@@ -18,7 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MIN_IMAG, CutPlanePoint, _on_coords, alternating_sum, symmetry_sum
+from .core import (
+    MIN_IMAG, CutPlanePoint, _dimension, _on_coords, _point, alternating_sum, symmetry_sum
+)
 from .errors import InvalidArgumentError, InvalidPointError, TestFunctionBoundError
 from .quadrature import QuadratureConfig, integrate_rn
 from .measures import boundary_hints
@@ -138,13 +140,13 @@ def _check_tol(tol: float) -> None:
 
 def full_symmetry_sum(f, z: CutPlanePoint) -> complex:
     """sum over nonempty B of (-1)^(|B|+1) conj f(Psi_B(i*1, z))."""
+    z = _point(z)
     return symmetry_sum(_on_coords(f, z.n), z.coords)
 
 
 def symmetry_residual(f, z: CutPlanePoint) -> float:
     """|f(z) - symmetry sum|; zero for symmetric extensions with b = 0."""
-    if not isinstance(z, CutPlanePoint):
-        z = CutPlanePoint(tuple(z))
+    z = _point(z)
     return abs(complex(f(z)) - full_symmetry_sum(f, z))
 
 
@@ -283,8 +285,7 @@ def reconstruct_from_upper(f_upper, z: CutPlanePoint) -> complex:
     the remaining subsets cancel in pairs for functions satisfying symmetry
     plus non-dependence (which the caller asserts, this routine computes).
     """
-    if not isinstance(z, CutPlanePoint):
-        z = CutPlanePoint(tuple(z))
+    z = _point(z)
     # B' as a bitmask: the axes whose coordinate lies in the lower half-plane
     within = sum(1 << j for j, c in enumerate(z.coords) if c.imag < 0)
     if not within:
@@ -355,8 +356,7 @@ def stoltz_limit(
     if not isinstance(base_alternates, numbers.Integral) or base_alternates < 0:
         raise InvalidArgumentError(f"base_alternates {base_alternates!r} must be an int >= 0")
     jj = j - 1
-    if not isinstance(base, CutPlanePoint):
-        base = CutPlanePoint(tuple(base))
+    base = _point(base)
     phase = cmath.exp(1j * cfg.stoltz_angle)
     if direction == "lower":
         phase = phase.conjugate()
@@ -398,12 +398,7 @@ class _LinearlyShifted:
         self._inner_at = _on_coords(f, f.dimension)
 
     def __call__(self, z):
-        p = z if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z))
-        if p.n != self.dimension:
-            raise InvalidArgumentError(
-                f"point dimension {p.n} differs from the function's {self.dimension}"
-            )
-        return self._at(p.coords)
+        return self._at(_point(z, self.dimension).coords)
 
     def _at(self, zs: tuple) -> complex:
         return self._inner_at(zs) - sum(dj * c for dj, c in zip(self.d, zs))
@@ -507,6 +502,8 @@ class TestFunction:
 
 
 def phi_cauchy(n: int) -> TestFunction:
+    _dimension(n, "phi dimension", InvalidArgumentError)
+
     def func(x):
         p = 1.0
         for v in x:
@@ -517,6 +514,7 @@ def phi_cauchy(n: int) -> TestFunction:
 
 
 def phi_gaussian(n: int, sigma: float = 1.0) -> TestFunction:
+    _dimension(n, "phi dimension", InvalidArgumentError)
     if not (isinstance(sigma, numbers.Real) and 0 < sigma < math.inf):
         raise InvalidArgumentError(f"sigma must be positive and finite, got {sigma!r}")
     # sup (1+x^2) exp(-x^2 / (2 sigma^2)) per axis

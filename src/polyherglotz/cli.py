@@ -269,8 +269,6 @@ def _parse_phi(text: str) -> analysis.TestFunction:
             f"unknown phi {text!r}; use cauchyNd or gaussNd (e.g. cauchy2d)"
         )
     n = int(m.group(2))
-    if n < 1:
-        raise ValueError("phi dimension must be >= 1")
     if m.group(1) == "cauchy":
         return analysis.phi_cauchy(n)
     return analysis.phi_gaussian(n)

@@ -2,11 +2,14 @@
 
 A point of the cut-plane is an n-tuple of finite complex coordinates, each
 with strictly nonzero imaginary part.  A point is validated once, where it
-enters the library: `CutPlanePoint` checks its coordinates on construction
-and rejects real, NaN and infinite ones.  Points derived from a validated
-one (its reflections, and the Stieltjes ladder and Stoltz ray points whose
-parameters `analysis.LimitConfig` checks) are never built: `_on_coords`
-hands their coordinate tuples to the function's own `_at`.
+enters the library, by rules that live here alone: `CutPlanePoint` rejects
+real, NaN and infinite coordinates; every public entry takes its point
+through `_point`, which also checks the dimension the entry fixes;
+`_real_vector` checks a kernel's real vector t, and `_dimension` every
+declared dimension.  Points derived from a validated one (its reflections,
+and the Stieltjes ladder and Stoltz ray points whose parameters
+`analysis.LimitConfig` checks) are never built: `_on_coords` hands their
+coordinate tuples to the function's own `_at`.
 
 The cut-plane splits into 2^n connected components indexed by the sign
 pattern of the imaginary parts.  The selective conjugation Psi_B(w, z)
@@ -69,6 +72,30 @@ class CutPlanePoint:
 def point(*coords) -> CutPlanePoint:
     """Convenience constructor: point(1j, 2+3j)."""
     return CutPlanePoint(tuple(coords))
+
+
+def _point(z, n: int | None = None) -> CutPlanePoint:
+    """z itself when it is a `CutPlanePoint`, else the point of its
+    coordinates; given n, another dimension raises `InvalidArgumentError`."""
+    if not isinstance(z, CutPlanePoint):
+        z = CutPlanePoint(tuple(z))
+    if n is not None and len(z.coords) != n:
+        raise InvalidArgumentError(f"a point of dimension {len(z.coords)} where {n} is expected")
+    return z
+
+
+def _real_vector(t, n: int) -> tuple:
+    """t as a tuple of n finite floats, or `InvalidArgumentError`."""
+    t = tuple([float(x) for x in t])
+    if len(t) != n or not all(map(cmath.isfinite, t)):
+        raise InvalidArgumentError(f"t = {t} must hold {n} finite reals")
+    return t
+
+
+def _dimension(n, what: str, error: type) -> None:
+    """Raise `error` unless n is an int (a bool is not) in 1..MAX_DIMENSION."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
+        raise error(f"{what} must be an int in 1..{MAX_DIMENSION}, got {n!r}")
 
 
 def _on_coords(f, n: int):

@@ -10,11 +10,13 @@ whose branches are keyed by the sign pattern of the imaginary parts.
 `function_from_dict` builds one from its JSON descriptor.
 
 The public calls validate their point (a `CutPlanePoint`, or coordinates
-that become one) and its dimension once.  Each family also has one
-private evaluation on a coordinate tuple, ``f._at(coords) -> complex``,
-which checks nothing and gives the public value to the bit; `analysis`
-evaluates the reflections, ray points and ladder points derived from a
-validated point through it (`core._on_coords`), so it builds no point.
+that become one) and its dimension once, with `core._point`, and
+`ClosedFormFunction` checks its declared dimension with `core._dimension`.
+Each family also has one private evaluation on a coordinate tuple,
+``f._at(coords) -> complex``, which checks nothing and gives the public
+value to the bit; `analysis` evaluates the reflections, ray points and
+ladder points derived from a validated point through it
+(`core._on_coords`), so it builds no point.
 
 A Cauchy-type function integrates K_n = i(2 prod A(z_l, t_l) - prod A(i, t_l))
 against its measure.  A(z, .) is the pole pair (z, -i), so both products
@@ -40,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import MAX_DIMENSION, CutPlanePoint, _on_coords
+from .core import _dimension, _on_coords, _point
 from .errors import InvalidArgumentError, UnknownCatalogueIdError
 from .measures import (
     MU2,
@@ -67,9 +69,7 @@ class CauchyTypeFunction:
         self._growth, self._growth_err = pair_integral(measure, [(1j, -1j)] * self.dimension)
 
     def evaluate(self, z) -> tuple:
-        zs = z.coords if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z)).coords
-        if len(zs) != self.dimension:
-            raise InvalidArgumentError("point dimension does not match measure")
+        zs = _point(z, self.dimension).coords
         val, err = _pair_integral(self.measure, [(c, -1j) for c in zs])
         return (
             self._prefactor * (1j * (2.0 * val - self._growth)),
@@ -121,7 +121,7 @@ class HerglotzFunction:
         self._cauchy = CauchyTypeFunction(triple.mu)
 
     def evaluate(self, z) -> tuple:
-        p = z if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z))
+        p = _point(z)
         val, err = self._cauchy.evaluate(p)
         lin = self.triple.a + sum(b * c for b, c in zip(self.triple.b, p.coords))
         return lin + val, err
@@ -145,8 +145,7 @@ class ClosedFormFunction:
     """
 
     def __init__(self, name, dimension, branches, measure=None):
-        if not isinstance(dimension, int) or not 1 <= dimension <= MAX_DIMENSION:
-            raise InvalidArgumentError(f"dimension must be an int in 1..{MAX_DIMENSION}")
+        _dimension(dimension, "dimension", InvalidArgumentError)
         self.name = name
         self.dimension = dimension
         self.branches = branches
@@ -160,12 +159,7 @@ class ClosedFormFunction:
         return self(z), 0.0
 
     def __call__(self, z) -> complex:
-        zs = z.coords if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z)).coords
-        if len(zs) != self.dimension:
-            raise InvalidArgumentError(
-                f"{self.name} is defined in dimension {self.dimension}"
-            )
-        return self._at(zs)
+        return self._at(_point(z, self.dimension).coords)
 
     def _at(self, zs: tuple) -> complex:
         mask = 0
@@ -191,7 +185,7 @@ class UpperRestriction:
         self._inner_at = _on_coords(f, f.dimension)
 
     def evaluate(self, z):
-        p = z if isinstance(z, CutPlanePoint) else CutPlanePoint(tuple(z))
+        p = _point(z)
         if not p.is_upper():
             raise InvalidArgumentError(f"{self.name} is only defined on C+^n")
         if hasattr(self.inner, "evaluate"):

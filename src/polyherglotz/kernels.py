@@ -16,18 +16,19 @@ which Stieltjes inversion relies on when probing y -> 0+.
 Every one-variable factor is a pole pair
 pair(p, q)(t) = (1/2i)(1/(t-p) - 1/(t-q)) (`_pair`): A(z, .) is (z, -i), the
 growth weight 1/(1+t^2) is (i, -i), and `_n_pairs` tabulates the N_rho.
-`_pair` and `kernel_k` skip input validation; the public wrappers below own
-the input checks.  The two kernel sums run through the reflection sums of
-`core`.
+`_pair` and `kernel_k` skip input validation.  The six public entries
+check z with `core._point` (a scalar z as the point (z,)): a real,
+near-real, NaN or infinite coordinate raises `InvalidPointError`.  They
+check t with `core._real_vector`: a wrong length or a non-finite entry
+raises `InvalidArgumentError`.  The two kernel sums run through the
+reflection sums of `core`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from . import core
-from .core import CutPlanePoint
-from .errors import InvalidArgumentError, InvalidPointError
+from .core import _point, _real_vector
+from .errors import InvalidArgumentError
 
 
 def _pair(p, q, t):
@@ -48,33 +49,15 @@ def kernel_k(zs, ts):
     return 1j * (2.0 * pa - pc)
 
 
-def _coords(z) -> tuple:
-    if isinstance(z, CutPlanePoint):
-        return z.coords
-    return CutPlanePoint(tuple(z)).coords
-
-
-def _check_t(zs: tuple, t: Sequence[float]) -> tuple:
-    t = tuple(float(x) for x in t)
-    if len(t) != len(zs):
-        raise InvalidArgumentError(
-            f"dimension mismatch: z has {len(zs)} coordinates, t has {len(t)}"
-        )
-    return t
-
-
 def kernel_K(z, t) -> complex:
     """Evaluate K_n(z, t)."""
-    zs = _coords(z)
-    return kernel_k(zs, _check_t(zs, t))
+    zs = _point(z).coords
+    return kernel_k(zs, _real_vector(t, len(zs)))
 
 
 def kernel_K1_closed(z: complex, t: float) -> complex:
     """One-variable closed form 1/(t-z) - t/(1+t^2)."""
-    z = complex(z)
-    if z.imag == 0.0:
-        raise InvalidPointError("z must be nonreal")
-    t = float(t)
+    (z,), (t,) = _point((z,)).coords, _real_vector((t,), 1)
     return 1.0 / (t - z) - t / (1.0 + t * t)
 
 
@@ -85,34 +68,32 @@ def n_factor(rho: int, z: complex, t: float) -> complex:
     """
     if rho not in (-1, 0, 1):
         raise InvalidArgumentError(f"rho must be -1, 0 or 1, got {rho!r}")
-    z = complex(z)
-    if z.imag == 0.0:
-        raise InvalidPointError("z must be nonreal")
-    return _pair(*_n_pairs(z)[rho + 1], float(t))
+    (z,), (t,) = _point((z,)).coords, _real_vector((t,), 1)
+    return _pair(*_n_pairs(z)[rho + 1], t)
 
 
 def poisson(z, t) -> float:
     """Poisson kernel P_n(z, t) = prod Im[z_j] / |t_j - z_j|^2 for z in C+^n."""
-    zs = _coords(z)
+    zs = _point(z).coords
     if any(c.imag <= 0 for c in zs):
         raise InvalidArgumentError("poisson kernel requires all Im z_j > 0")
     p = 1.0
-    for c, x in zip(zs, _check_t(zs, t)):
+    for c, x in zip(zs, _real_vector(t, len(zs))):
         p *= c.imag / abs(x - c) ** 2
     return p
 
 
 def kernel_symmetry_residual(z, t) -> float:
     """|K_n(z,t) - sum_{B nonempty} (-1)^(|B|+1) conj K_n(Psi_B(i*1, z), t)|."""
-    zs = _coords(z)
-    t = _check_t(zs, t)
+    zs = _point(z).coords
+    t = _real_vector(t, len(zs))
     return abs(kernel_k(zs, t) - core.symmetry_sum(lambda w: kernel_k(w, t), zs))
 
 
 def poisson_alternating_sum(z, t) -> complex:
     """sum_B (-1)^|B| K_n(Psi_B(z,z), t); equals 2i P_n(z,t) for z in C+^n."""
-    zs = _coords(z)
+    zs = _point(z).coords
     if any(c.imag <= 0 for c in zs):
         raise InvalidArgumentError("alternating sum requires all Im z_j > 0")
-    t = _check_t(zs, t)
+    t = _real_vector(t, len(zs))
     return core.alternating_sum(lambda w: kernel_k(w, t), zs)

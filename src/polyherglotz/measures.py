@@ -37,7 +37,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from scipy.special import wofz
 
-from .core import MAX_DIMENSION, CutPlanePoint
+from .core import MAX_DIMENSION, CutPlanePoint, _dimension, _point
 from .errors import DivergenceError, InvalidArgumentError, InvalidMeasureError
 from .kernels import _n_pairs, _pair
 from .quadrature import integrate_line, integrate_rn
@@ -361,12 +361,6 @@ def rational_density(name: str) -> DensityDescriptor:
     return DensityDescriptor("rational_table", (name,))
 
 
-def _check_dimension(n, what: str) -> None:
-    """Reject a dimension that is not an int (a bool is not) in 1..MAX_DIMENSION."""
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
-        raise InvalidMeasureError(f"{what} must be an int in 1..{MAX_DIMENSION}, got {n!r}")
-
-
 @dataclass(frozen=True)
 class Atomic:
     points: tuple  # tuple of real n-vectors
@@ -385,12 +379,12 @@ class Atomic:
         if not all(math.isfinite(x) for p in points for x in p):
             raise InvalidMeasureError("atom coordinates must be finite")
         if self.dim is not None:
-            _check_dimension(self.dim, "atomic dim")
+            _dimension(self.dim, "atomic dim", InvalidMeasureError)
         if points:
             n = len(points[0])
             if any(len(p) != n for p in points):
                 raise InvalidMeasureError("atoms have inconsistent dimensions")
-            _check_dimension(n, "atom dimension")
+            _dimension(n, "atom dimension", InvalidMeasureError)
             if self.dim is not None and self.dim != n:
                 raise InvalidMeasureError("dim does not match atom dimension")
             object.__setattr__(self, "dim", n)
@@ -410,7 +404,7 @@ class LebesgueScaled:
     def __post_init__(self):
         if not 0 <= self.c < math.inf:
             raise InvalidMeasureError("Lebesgue scale must be finite and >= 0")
-        _check_dimension(self.dim, "Lebesgue dimension")
+        _dimension(self.dim, "Lebesgue dimension", InvalidMeasureError)
 
     @property
     def dimension(self) -> int:
@@ -424,7 +418,7 @@ class ProductDensity:
     def __post_init__(self):
         factors = tuple(self.factors)
         object.__setattr__(self, "factors", factors)
-        _check_dimension(len(factors), "product density dimension")
+        _dimension(len(factors), "product density dimension", InvalidMeasureError)
         if not all(isinstance(w, DensityDescriptor) for w in factors):
             raise InvalidMeasureError("product density factors must be DensityDescriptors")
 
@@ -449,7 +443,7 @@ class CurvePushforward:
         object.__setattr__(self, "beta", beta)
         if len(alpha) != len(beta):
             raise InvalidMeasureError("alpha and beta lengths differ")
-        _check_dimension(len(alpha), "curve dimension")
+        _dimension(len(alpha), "curve dimension", InvalidMeasureError)
         if not isinstance(self.weight, DensityDescriptor):
             raise InvalidMeasureError("curve weight must be a DensityDescriptor")
         if not all(math.isfinite(x) for x in alpha + beta):
@@ -635,6 +629,9 @@ def boundary_hints(mu: Measure, prefix: tuple, y: float) -> list:
 # doubles the cost of a curve integral.
 _HINT_IM = 1e-2
 
+#: The error of a curve slope whose integrals leave double precision.
+_SLOPE_OVERFLOW = "the curve integral with alpha = {} overflows double precision"
+
 
 def pair_integral(mu: Measure, pairs: Sequence[tuple]):
     """integral of prod_l pair(p_l, q_l)(t_l) dmu for nonreal poles.
@@ -644,8 +641,9 @@ def pair_integral(mu: Measure, pairs: Sequence[tuple]):
     one line quadrature at the `quadrature` module's default tolerances:
     `quad`'s two passes, one per part, share the integrand's values, so a
     node that both passes visit is computed once.
-    Any other number of pairs than the measure's dimension raises
-    `InvalidArgumentError`, checked once per call.
+    Any other number of pairs than the measure's dimension, or a curve
+    slope too small for double precision (`_curve_poles`), raises
+    `InvalidArgumentError`; the first is checked once per call.
     """
     n = getattr(mu, "dimension", None)  # an unknown variant is rejected below
     if n is not None and len(pairs) != n:
@@ -686,6 +684,8 @@ def _pair_integral(mu: Measure, pairs: Sequence[tuple]):
 
     if isinstance(mu, CurvePushforward):
         const, poles = _curve_poles(mu, pairs)
+        if not poles:  # a zero factor with a slope out of range
+            return 0j, 0.0
         w = mu.weight._fn
         # quad's imaginary pass revisits most of the real pass's nodes;
         # each node is computed once per call and read back after that
@@ -712,7 +712,9 @@ def _curve_poles(mu: CurvePushforward, pairs: Sequence[tuple]):
 
     With t = alpha*s + beta, an axis with alpha = 0 is the constant
     pair(p, q)(beta); any other is (1/(s-p') - 1/(s-q'))/(2i*alpha) with
-    p' = (p - beta)/alpha.
+    p' = (p - beta)/alpha.  A constant or a pole outside double precision
+    (a slope too small) raises `InvalidArgumentError` unless a pair has
+    p = q: the product then vanishes, and the result is (0, []).
     """
     const = mu.scale
     poles = []
@@ -722,6 +724,10 @@ def _curve_poles(mu: CurvePushforward, pairs: Sequence[tuple]):
         else:
             const /= 2j * a
             poles.append(((p - b) / a, (q - b) / a))
+    if not all(map(cmath.isfinite, sum(poles, (const,)))):
+        if any(p == q for p, q in pairs):
+            return 0j, []
+        raise InvalidArgumentError(_SLOPE_OVERFLOW.format(mu.alpha))
     return const, poles
 
 
@@ -759,12 +765,9 @@ def nevanlinna_residual(mu: Measure, z: CutPlanePoint) -> complex:
     exactly 0.  A curve with a slope too small for double precision raises
     `InvalidArgumentError` (see `_curve_pair_integral`).
     """
-    if not isinstance(z, CutPlanePoint):
-        z = CutPlanePoint(tuple(z))
+    z = _point(z, mu.dimension)
     if not z.is_upper():
         raise InvalidArgumentError("nevanlinna residual is sampled on C+^n")
-    if mu.dimension != z.n:
-        raise InvalidArgumentError("measure and point dimensions differ")
     products = _rho_products(z.coords)
     return _residual(mu, products) if products else 0j
 
@@ -864,10 +867,7 @@ def _curve_pair_integral(mu: CurvePushforward, pairs: Sequence[tuple]) -> comple
             return 0j
     except OverflowError:  # a complex division by a tiny alpha, or what it feeds
         pass
-    raise InvalidArgumentError(
-        f"the curve integral with alpha = {mu.alpha} overflows double precision: "
-        "a slope this small is outside the exact engine's range"
-    )
+    raise InvalidArgumentError(_SLOPE_OVERFLOW.format(mu.alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Stdlib-only stand-ins for two lint rules on the library modules.
+"""Stdlib-only stand-ins for three lint rules on the library modules.
 
 Every name a library module imports is used in that module: a name bound
 by an import statement must appear as a name somewhere in the module.  The
@@ -9,6 +9,11 @@ No module keeps an unbounded cache: ``functools.cache`` and
 are spelled (module alias, imported name, ``as`` alias, positional or
 keyword ``maxsize``).  Tables built once over a bounded range, such as
 those indexed by the dimension up to ``MAX_DIMENSION``, are not caches.
+
+Caller input is checked in ``core`` alone: no other module tests
+``isinstance(..., CutPlanePoint)`` or compares an ``.imag`` with zero by
+``==`` or ``!=``.  Those are hand-made copies of the point rule, which
+every public entry reaches through ``core._point``.
 """
 
 import ast
@@ -113,3 +118,68 @@ def test_unbounded_cache_lint_rejects(source):
 )
 def test_unbounded_cache_lint_accepts(source):
     assert not unbounded_caches(ast.parse(source))
+
+
+def input_rule_copies(tree) -> list:
+    """Line numbers where `tree` calls isinstance(..., CutPlanePoint), however
+    the class is spelled, or compares an `.imag` with 0 by == or !=."""
+    bad = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and any(
+                isinstance(n, ast.Name) and n.id == "CutPlanePoint"
+                or isinstance(n, ast.Attribute) and n.attr == "CutPlanePoint"
+                for n in ast.walk(node.args[1])
+            )
+        ):
+            bad.append(node.lineno)
+        elif isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
+        ):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Attribute) and o.attr == "imag" for o in operands) and any(
+                isinstance(o, ast.Constant) and type(o.value) in (int, float) and o.value == 0
+                for o in operands
+            ):
+                bad.append(node.lineno)
+    return sorted(bad)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_input_rules_live_in_core(path):
+    lines = input_rule_copies(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} checks a point by hand at lines {lines}; use core._point"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "p = z if isinstance(z, CutPlanePoint) else CutPlanePoint(z)",
+        "if not isinstance(z, core.CutPlanePoint): pass",
+        "ok = isinstance(z, (tuple, CutPlanePoint))",
+        "if z.imag == 0.0: pass",
+        "if 0 != complex(z).imag: pass",
+        "bad = any(c.imag == 0 for c in zs)",
+    ],
+)
+def test_input_rule_lint_rejects(source):
+    assert input_rule_copies(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "z = _point(z, n)",
+        "ok = isinstance(mu, CurvePushforward)",
+        "upper = all(c.imag > 0 for c in zs)",
+        "if z.imag < 0: pass",
+        "if z.real == 0.0: pass",
+        "if x.imag == y: pass",
+    ],
+)
+def test_input_rule_lint_accepts(source):
+    assert not input_rule_copies(ast.parse(source))

@@ -19,7 +19,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    MIN_IMAG, CutPlanePoint, _dimension, _on_coords, _point, alternating_sum, symmetry_sum
+    MIN_IMAG,
+    CutPlanePoint,
+    _dimension,
+    _integer,
+    _on_coords,
+    _point,
+    alternating_sum,
+    symmetry_sum,
 )
 from .errors import InvalidArgumentError, InvalidPointError, TestFunctionBoundError
 from .quadrature import QuadratureConfig, integrate_rn
@@ -104,6 +111,7 @@ def richardson_tableau(values: Sequence[complex], h: Sequence[float], order: int
     neighbours a, b of column m - 1; where the steps halve in powers of two
     it is (2^m*b - a) / (2^m - 1) to the bit.
     """
+    _integer(order, "order", 0)
     if len(h) != len(values):
         raise InvalidArgumentError("the tableau needs one step per value")
     cols = [list(values)]
@@ -351,10 +359,8 @@ def stoltz_limit(
     if direction not in ("upper", "lower"):
         raise InvalidArgumentError("direction must be 'upper' or 'lower'")
     n = f.dimension
-    if not isinstance(j, numbers.Integral) or not 1 <= j <= n:
-        raise InvalidArgumentError(f"axis {j!r} must be an int in 1..{n}")
-    if not isinstance(base_alternates, numbers.Integral) or base_alternates < 0:
-        raise InvalidArgumentError(f"base_alternates {base_alternates!r} must be an int >= 0")
+    _integer(j, "axis", 1, n)
+    _integer(base_alternates, "base_alternates", 0)
     jj = j - 1
     base = _point(base)
     phase = cmath.exp(1j * cfg.stoltz_angle)

@@ -5,7 +5,8 @@ with strictly nonzero imaginary part.  A point is validated once, where it
 enters the library, by rules that live here alone: `CutPlanePoint` rejects
 real, NaN and infinite coordinates; every public entry takes its point
 through `_point`, which also checks the dimension the entry fixes;
-`_real_vector` checks a kernel's real vector t, and `_dimension` every
+`_real_vector` checks a kernel's real vector t, `_integer` every integer
+parameter (an axis, a count, an order, rho) and `_dimension` every
 declared dimension.  Points derived from a validated one (its reflections,
 and the Stieltjes ladder and Stoltz ray points whose parameters
 `analysis.LimitConfig` checks) are never built: `_on_coords` hands their
@@ -92,10 +93,19 @@ def _real_vector(t, n: int) -> tuple:
     return t
 
 
+def _integer(
+    k, what: str, lo: int, hi: int | None = None, error: type = InvalidArgumentError
+) -> None:
+    """Raise `error` unless k is an int (a bool is not) in lo..hi, or at
+    least lo when hi is None."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < lo or hi is not None and k > hi:
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise error(f"{what} must be an int {bounds}, got {k!r}")
+
+
 def _dimension(n, what: str, error: type) -> None:
     """Raise `error` unless n is an int (a bool is not) in 1..MAX_DIMENSION."""
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
-        raise error(f"{what} must be an int in 1..{MAX_DIMENSION}, got {n!r}")
+    _integer(n, what, 1, MAX_DIMENSION, error)
 
 
 def _on_coords(f, n: int):

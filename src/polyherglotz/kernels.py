@@ -27,7 +27,7 @@ reflection sums of `core`.
 from __future__ import annotations
 
 from . import core
-from .core import _point, _real_vector
+from .core import _integer, _point, _real_vector
 from .errors import InvalidArgumentError
 
 
@@ -66,8 +66,7 @@ def n_factor(rho: int, z: complex, t: float) -> complex:
 
     N_0 is real and does not depend on z; conj(N_-1) = N_1.
     """
-    if rho not in (-1, 0, 1):
-        raise InvalidArgumentError(f"rho must be -1, 0 or 1, got {rho!r}")
+    _integer(rho, "rho", -1, 1)
     (z,), (t,) = _point((z,)).coords, _real_vector((t,), 1)
     return _pair(*_n_pairs(z)[rho + 1], t)
 

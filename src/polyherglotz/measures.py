@@ -23,6 +23,8 @@ is still one line quadrature, the independent oracle of the exact one; its
 two `quad` passes share the integrand's node values.
 `boundary_hints` tells Stieltjes inversion where a measure's singular part
 puts spikes on each integration axis at height y, and how wide they are.
+scipy's Faddeeva function is imported by the first Gaussian density that
+needs it, not by this module.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import wofz
 
 from .core import MAX_DIMENSION, CutPlanePoint, _dimension, _point
 from .errors import DivergenceError, InvalidArgumentError, InvalidMeasureError
@@ -127,7 +128,7 @@ class DensityDescriptor:
             return -math.pi / (z + 1j)
         if self.form == "gaussian":
             m, s = self.params
-            w = wofz((z - m) / (s * math.sqrt(2.0)))
+            w = _wofz((z - m) / (s * math.sqrt(2.0)))
             return complex(1j * math.pi * w / (s * math.sqrt(2.0 * math.pi)))
         return _RATIONAL_TABLE[self.params[0]][1](z)
 
@@ -190,13 +191,22 @@ def _solve(nodes: list, poles, v: list) -> list:
     return v
 
 
+def _wofz(z):
+    """The Faddeeva function w(z), scipy's `wofz`.  The first call imports
+    it and rebinds this name to it, so later calls go straight to scipy."""
+    global _wofz
+    from scipy.special import wofz as _wofz
+
+    return _wofz(z)
+
+
 def _faddeeva(zeta: complex) -> complex:
     """Omega(zeta): w(zeta) on C+ and -w(-zeta) = w(zeta) - 2 exp(-zeta^2)
-    on C-, with w = `wofz`.  A Gaussian density of mean m and width s has
+    on C-, with w = `_wofz`.  A Gaussian density of mean m and width s has
     C(t) = i*pi*Omega((t - m)/(s*sqrt(2)))/(s*sqrt(2*pi))."""
     if zeta.imag > 0:
-        return complex(wofz(zeta))
-    return -complex(wofz(-zeta))
+        return complex(_wofz(zeta))
+    return -complex(_wofz(-zeta))
 
 
 def _faddeeva_divided_difference(nodes: list, m: float, scale: float) -> complex:
@@ -294,7 +304,7 @@ def _cluster_series(nodes: list, m: float, scale: float):
     zc = (center - m) / scale
     r = _taylor_radius(abs(zc))
     u = zc + r * np.exp(2j * np.pi * np.arange(_TAYLOR_SAMPLES) / _TAYLOR_SAMPLES)
-    w_series = (np.fft.fft(wofz(u)) / _TAYLOR_SAMPLES).tolist()
+    w_series = (np.fft.fft(_wofz(u)) / _TAYLOR_SAMPLES).tolist()
     exp_series = None  # needed, and bounded, only across the real axis
     if not mirrored and any(x.imag < 0 for x in nodes):
         exp_series = (np.fft.fft(np.exp(-u * u)) / _TAYLOR_SAMPLES).tolist()

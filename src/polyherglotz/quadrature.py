@@ -25,6 +25,9 @@ Whether an integrand is complex is read once per call from its value at
 the origin, by `integrate_rn` for all of its lines; a real integrand then
 takes one pass on every line and gives a float, the same number as the
 real part of the two-pass result.
+
+scipy is imported by the first `quad` call, not by this module, so a
+process that runs no quadrature never loads it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
-
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import InvalidArgumentError
 
@@ -99,20 +100,27 @@ def integrate_line(
             pts.add(math.atan(s + d))
             d *= _BRACKET_RATIO
     pts = sorted(pts)
-    with warnings.catch_warnings():
-        # accuracy is judged from the returned error estimate, not warnings
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(
-            integrand,
-            -math.pi / 2,
-            math.pi / 2,
-            points=pts or None,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=_MAX_SUBDIVISIONS,
-            complex_func=complex_func,
-        )
+    val, err = quad(
+        integrand,
+        -math.pi / 2,
+        math.pi / 2,
+        points=pts or None,
+        epsabs=cfg.abs_tol,
+        epsrel=cfg.rel_tol,
+        limit=_MAX_SUBDIVISIONS,
+        complex_func=complex_func,
+    )
     return val, abs(err)
+
+
+def quad(*args, **kwargs):
+    """scipy's `quad` with its IntegrationWarnings silenced: accuracy is
+    judged from the returned error estimate, not from warnings."""
+    from scipy.integrate import IntegrationWarning, quad as scipy_quad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return scipy_quad(*args, **kwargs)
 
 
 def _is_complex(value) -> bool:

@@ -1,4 +1,4 @@
-"""Stdlib-only stand-ins for three lint rules on the library modules.
+"""Stdlib-only stand-ins for four lint rules on the library modules.
 
 Every name a library module imports is used in that module: a name bound
 by an import statement must appear as a name somewhere in the module.  The
@@ -14,6 +14,12 @@ Caller input is checked in ``core`` alone: no other module tests
 ``isinstance(..., CutPlanePoint)`` or compares an ``.imag`` with zero by
 ``==`` or ``!=``.  Those are hand-made copies of the point rule, which
 every public entry reaches through ``core._point``.
+
+No module imports scipy outside a function body: not at module level, in
+a class body or under a module-level ``if`` or ``try``, by an import
+statement or by ``importlib.import_module``/``__import__``.  scipy is
+loaded by the first quadrature or Gaussian density that needs it, so
+``import polyherglotz`` and the exact paths never pay for it.
 """
 
 import ast
@@ -183,3 +189,80 @@ def test_input_rule_lint_rejects(source):
 )
 def test_input_rule_lint_accepts(source):
     assert not input_rule_copies(ast.parse(source))
+
+
+def _is_scipy(name) -> bool:
+    return isinstance(name, str) and name.split(".")[0] == "scipy"
+
+
+def scipy_imports_outside_functions(tree) -> list:
+    """Line numbers where `tree` imports scipy or a scipy submodule outside
+    a function body, by statement or by importlib.import_module/__import__."""
+    bad = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if (
+                isinstance(child, ast.Import) and any(_is_scipy(a.name) for a in child.names)
+                or isinstance(child, ast.ImportFrom) and not child.level and _is_scipy(child.module)
+                or isinstance(child, ast.Call)
+                and (
+                    isinstance(child.func, ast.Name) and child.func.id == "__import__"
+                    or isinstance(child.func, ast.Attribute) and child.func.attr == "import_module"
+                )
+                and child.args
+                and isinstance(child.args[0], ast.Constant)
+                and _is_scipy(child.args[0].value)
+            ):
+                bad.append(child.lineno)
+            visit(child)
+
+    visit(tree)
+    return sorted(bad)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(polyherglotz.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_scipy_is_imported_inside_functions_only(path):
+    lines = scipy_imports_outside_functions(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} imports scipy outside a function at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import scipy",
+        "import scipy.special as sp",
+        "import numpy, scipy.integrate",
+        "from scipy.integrate import quad",
+        "from scipy import special",
+        "try:\n    from scipy.special import wofz\nexcept ImportError:\n    pass",
+        "if True:\n    import scipy.integrate",
+        "class C:\n    from scipy.special import wofz",
+        "import importlib\nsp = importlib.import_module('scipy.special')",
+        "sp = __import__('scipy')",
+    ],
+)
+def test_scipy_import_lint_rejects(source):
+    assert scipy_imports_outside_functions(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f():\n    from scipy.integrate import quad\n    return quad",
+        "def w(z):\n    global w\n    from scipy.special import wofz as w\n    return w(z)",
+        "class C:\n    def m(self):\n        import scipy",
+        "async def f():\n    import scipy",
+        "g = lambda: __import__('scipy')",
+        "import numpy as np",
+        "import scipyx",
+        "from .quadrature import quad",
+        "from . import scipy",
+    ],
+)
+def test_scipy_import_lint_accepts(source):
+    assert not scipy_imports_outside_functions(ast.parse(source))

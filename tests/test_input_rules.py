@@ -5,7 +5,9 @@ and infinite coordinates raise `InvalidPointError`, and an entry that fixes
 a dimension raises `InvalidArgumentError` for another one.  A kernel's real
 vector t must hold one finite float per coordinate, and a declared
 dimension (a catalogue-style function's, a test function's) must be an int,
-not a bool, in 1..MAX_DIMENSION.  A curve whose slope is too small for
+not a bool, in 1..MAX_DIMENSION.  Every other integer parameter (n_factor's
+rho, a Stoltz limit's axis and alternate bases, a Richardson order) must
+be an int, not a bool, in its own range.  A curve whose slope is too small for
 double precision raises `InvalidArgumentError`, never NaN.
 """
 
@@ -39,6 +41,7 @@ from polyherglotz import (
     poisson_alternating_sum,
     reconstruct_from_upper,
     restrict_to_upper,
+    richardson_tableau,
     stoltz_limit,
     symmetry_residual,
 )
@@ -183,6 +186,44 @@ def test_declared_dimensions_follow_the_dimension_rule(make, n):
 def test_cli_rejects_a_phi_dimension_out_of_range(phi, capsys):
     assert main(["invert", "--fn", "cauchy:lebesgue1", "--phi", phi]) == 2
     assert f"int in 1..{MAX_DIMENSION}" in capsys.readouterr().err
+
+
+# --- integer parameters ------------------------------------------------------------
+
+#: Every public integer parameter other than a dimension, called with k.
+INTEGER_ENTRIES = {
+    "n_factor rho": lambda k: n_factor(k, 1j, 0.3),
+    "stoltz_limit axis": lambda k: stoltz_limit(F2, k, (1j, 1j)),
+    "stoltz_limit base_alternates": lambda k: stoltz_limit(F2, 1, (1j, 1j), base_alternates=k),
+    "richardson_tableau order": lambda k: richardson_tableau([1.0, 2.0], [1.0, 0.5], k),
+}
+
+
+@pytest.mark.parametrize("k", [True, False, 1.0, 0.0, "1", None], ids=repr)
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES.values(), ids=INTEGER_ENTRIES.keys())
+def test_integer_parameters_reject_a_bool_or_a_non_int(entry, k):
+    with pytest.raises(InvalidArgumentError, match="must be an int"):
+        entry(k)
+
+
+@pytest.mark.parametrize(
+    "entry, k",
+    [("n_factor rho", -2), ("n_factor rho", 2), ("stoltz_limit axis", 0),
+     ("stoltz_limit axis", 3), ("stoltz_limit base_alternates", -1),
+     ("richardson_tableau order", -1)],
+)
+def test_integer_parameters_reject_an_int_out_of_range(entry, k):
+    with pytest.raises(InvalidArgumentError, match="must be an int"):
+        INTEGER_ENTRIES[entry](k)
+
+
+@pytest.mark.parametrize(
+    "entry, k",
+    [("n_factor rho", -1), ("n_factor rho", 1), ("stoltz_limit axis", 2),
+     ("stoltz_limit base_alternates", 0), ("richardson_tableau order", 0)],
+)
+def test_integer_parameters_accept_an_int_in_range(entry, k):
+    INTEGER_ENTRIES[entry](k)
 
 
 # --- curves with a slope too small for double precision ------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -22,13 +21,15 @@ from .core import (
     MIN_IMAG,
     CutPlanePoint,
     _dimension,
+    _height,
     _integer,
     _on_coords,
     _point,
+    _real,
     alternating_sum,
     symmetry_sum,
 )
-from .errors import InvalidArgumentError, InvalidPointError, TestFunctionBoundError
+from .errors import InvalidArgumentError, TestFunctionBoundError
 from .quadrature import QuadratureConfig, integrate_rn
 from .measures import boundary_hints
 
@@ -53,28 +54,19 @@ class LimitConfig:
     y_sequence: tuple = tuple(2.0**-k for k in range(1, 11))
 
     def __post_init__(self):
-        a = self.stoltz_angle
-        if not (isinstance(a, numbers.Real) and 0 < a <= math.pi / 2):
-            raise InvalidArgumentError("stoltz angle must lie in (0, pi/2]")
-        for name in ("radius_sequence", "y_sequence"):
+        _real(self.stoltz_angle, "stoltz angle", 0, math.pi / 2, open_lo=True)
+        for name, lo, open_lo in (("radius_sequence", 0, True), ("y_sequence", MIN_IMAG, False)):
             seq = getattr(self, name)
-            if not isinstance(seq, (tuple, list)) or not all(
-                isinstance(v, numbers.Real) for v in seq
-            ):
-                raise InvalidArgumentError(f"{name} must be a list of numbers")
+            if not isinstance(seq, (tuple, list)) or not seq:
+                raise InvalidArgumentError(f"{name} must be a non-empty list of numbers")
+            for v in seq:
+                _real(v, f"a {name} entry", lo, open_lo=open_lo)
             object.__setattr__(self, name, tuple(seq))
-        r = self.radius_sequence
-        if not r or not self.y_sequence:
-            raise InvalidArgumentError("radius and y sequences must not be empty")
-        if not all(0 < v < math.inf for v in r):
-            raise InvalidArgumentError("radii must be positive and finite")
+        r, y = self.radius_sequence, self.y_sequence
         if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
             raise InvalidArgumentError("radius sequence must increase")
         if min(r) * math.sin(self.stoltz_angle) < MIN_IMAG:
             raise InvalidArgumentError(f"min(radius) * sin(angle) must be >= {MIN_IMAG}")
-        y = self.y_sequence
-        if not all(MIN_IMAG <= v < math.inf for v in y):
-            raise InvalidArgumentError(f"y steps must be finite and >= {MIN_IMAG}")
         if any(y[i] <= y[i + 1] for i in range(len(y) - 1)):
             raise InvalidArgumentError("y sequence must decrease")
 
@@ -138,11 +130,6 @@ def _extrapolate(values: Sequence[complex], steps: Sequence[float], conv_tol: fl
     return running, converged
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:
-        raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol!r}")
-
-
 # ---------------------------------------------------------------------------
 # Symmetry and non-dependence
 
@@ -177,7 +164,7 @@ def _sampled_report(samples, tol: float, config: dict) -> CheckReport:
     NaN residual counts as over `tol` and as worse than any number, so it
     fails the check and is reported as the maximum.
     """
-    _check_tol(tol)
+    _real(tol, "tolerance", 0, open_lo=True)
     rank = lambda r: (math.isnan(r), r)
     worst = 0.0
     over = []
@@ -195,6 +182,7 @@ _POINTS_PER_COMPONENT = 50
 def symmetry_check(f, tol: float = 1e-9, seed: int = DEFAULT_SEED) -> CheckReport:
     """Sample the symmetry formula at 50 seeded points on every connected
     component."""
+    _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     points = (
         _random_point(rng, signs)
@@ -275,6 +263,7 @@ def positivity_check(f, tol: float = 1e-12, seed: int = DEFAULT_SEED) -> CheckRe
     """Sampled Im f >= 0 on C+^n, on a grid and 200 seeded points; a point's
     residual is max(0, -Im f), so roundoff below `tol` passes, and NaN where
     Im f is NaN, so that it fails."""
+    _integer(seed, "seed", 0)
     points = _probe_points(f.dimension, _POSITIVITY_SAMPLES, seed)
     return _sampled_report(
         ((p, _deficit(complex(f(p)).imag)) for p in points),
@@ -440,6 +429,7 @@ def characterize(
     inconclusive sub-check makes the overall verdict inconclusive, never
     pass.
     """
+    _integer(seed, "seed", 0)
     n = f.dimension
     base = CutPlanePoint((_CHARACTERIZE_BASE,) * n)
     d = []
@@ -521,8 +511,7 @@ def phi_cauchy(n: int) -> TestFunction:
 
 def phi_gaussian(n: int, sigma: float = 1.0) -> TestFunction:
     _dimension(n, "phi dimension", InvalidArgumentError)
-    if not (isinstance(sigma, numbers.Real) and 0 < sigma < math.inf):
-        raise InvalidArgumentError(f"sigma must be positive and finite, got {sigma!r}")
+    _real(sigma, "sigma", 0, open_lo=True)
     # sup (1+x^2) exp(-x^2 / (2 sigma^2)) per axis
     if sigma * sigma <= 0.5:
         d1 = 1.0
@@ -585,7 +574,7 @@ def _stieltjes(f, boundary, phi, cfg, quad, conv_tol, mode) -> InversionResult:
     n = phi.dimension
     if f.dimension != n:
         raise InvalidArgumentError("test function and function dimensions differ")
-    _check_tol(conv_tol)
+    _real(conv_tol, "tolerance", 0, open_lo=True)
     _spot_check_bound(phi)
     mu = getattr(f, "measure", None)
 
@@ -628,11 +617,10 @@ def stieltjes_classic(
 def alternating_boundary_sum(g, x: tuple, y: float) -> complex:
     """(1/2i) sum_B (-1)^|B| g(Psi_B(x+iy, x+iy)) at finite real x.
 
-    Only y is checked; the ladder point and its reflections are evaluated
-    unchecked, as coordinate tuples.
+    Only y is checked (`core._height`); the ladder point and its
+    reflections are evaluated unchecked, as coordinate tuples.
     """
-    if not MIN_IMAG <= abs(y) < math.inf:
-        raise InvalidPointError(f"y = {y} does not lift x off the real axis")
+    _height(y)
     z = tuple(complex(v, y) for v in x)
     return alternating_sum(_on_coords(g, len(z)), z) / 2j
 

@@ -117,26 +117,23 @@ def _shorthand_descriptor(text: str) -> dict:
 _CONFIG_TYPES = {"limits": analysis.LimitConfig, "quadrature": QuadratureConfig}
 
 
-def _load_config(path: str | None) -> dict:
-    """A --config file, with every section, key and value checked whether
-    or not the subcommand reads it."""
-    if not path:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+def _load_config(path: str | None) -> tuple:
+    """(`DEFAULT_LIMITS`, `_INVERSION_QUAD`) with the fields that a --config
+    file sets, every section, key and value checked whether or not the
+    subcommand reads it."""
+    cfg = {}
+    if path:
+        with open(path) as fh:
+            cfg = json.load(fh)
     if not isinstance(cfg, dict) or not set(cfg) <= set(_CONFIG_TYPES):
         raise InvalidArgumentError(f"config must be an object with sections {list(_CONFIG_TYPES)}")
     for section, kw in cfg.items():
         keys = [f.name for f in dataclasses.fields(_CONFIG_TYPES[section])]
         if not isinstance(kw, dict) or not set(kw) <= set(keys):
             raise InvalidArgumentError(f"config {section!r} must be an object with keys {keys}")
-        _CONFIG_TYPES[section](**kw)
-    return cfg
-
-
-def _from_config(cfg: dict, section: str, default):
-    """`default` with the fields that config section `section` sets."""
-    return dataclasses.replace(default, **cfg.get(section, {}))
+    limits = dataclasses.replace(analysis.DEFAULT_LIMITS, **cfg.get("limits", {}))
+    quad = dataclasses.replace(analysis._INVERSION_QUAD, **cfg.get("quadrature", {}))
+    return limits, quad
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -169,7 +166,7 @@ _CHECK_NAMES = ("symmetry", "nondep", "positivity", "characterize")
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(args.config)
+    limits, _ = _load_config(args.config)
     f = parse_function(args.fn)
     which = args.which
     # without --tol each check keeps its own default tolerance
@@ -183,9 +180,7 @@ def cmd_check(args) -> int:
     elif which == "characterize":
         if tol:
             raise InvalidArgumentError("characterize runs its sub-checks at their own tolerances")
-        report = analysis.characterize(
-            f, _from_config(cfg, "limits", analysis.DEFAULT_LIMITS), seed=args.seed
-        )
+        report = analysis.characterize(f, limits, seed=args.seed)
     else:  # argparse choices should prevent this
         raise ValueError(which)
     _emit(json.dumps(report.to_dict(), sort_keys=True), args.out)
@@ -275,9 +270,7 @@ def _parse_phi(text: str) -> analysis.TestFunction:
 
 
 def cmd_invert(args) -> int:
-    cfg = _load_config(args.config)
-    quad = _from_config(cfg, "quadrature", analysis._INVERSION_QUAD)
-    limits = _from_config(cfg, "limits", analysis.DEFAULT_LIMITS)
+    limits, quad = _load_config(args.config)
     f = parse_function(args.fn)
     phi = _parse_phi(args.phi)
     conv_tol = {} if args.tol is None else {"conv_tol": args.tol}

@@ -1,16 +1,16 @@
 """Value types for the poly cut-plane and the selective-conjugation sums.
 
 A point of the cut-plane is an n-tuple of finite complex coordinates, each
-with strictly nonzero imaginary part.  A point is validated once, where it
-enters the library, by rules that live here alone: `CutPlanePoint` rejects
-real, NaN and infinite coordinates; every public entry takes its point
-through `_point`, which also checks the dimension the entry fixes;
-`_real_vector` checks a kernel's real vector t, `_integer` every integer
-parameter (an axis, a count, an order, rho) and `_dimension` every
-declared dimension.  Points derived from a validated one (its reflections,
-and the Stieltjes ladder and Stoltz ray points whose parameters
-`analysis.LimitConfig` checks) are never built: `_on_coords` hands their
-coordinate tuples to the function's own `_at`.
+with strictly nonzero imaginary part.  Caller input is validated once, by
+rules that live here alone and convert nothing: `CutPlanePoint` rejects
+real, NaN and infinite coordinates (`InvalidPointError`); an entry takes
+its point through `_point` (which checks a fixed dimension), or `_upper`
+if defined on C+^n only; `_real` checks every real parameter (a finite
+real, not a bool, in range, or the caller's error class), `_height` the y
+of a Stieltjes boundary point, `_real_vector` a kernel's t, `_integer`
+every integer parameter (an axis, an order, rho, a seed) and `_dimension`
+every declared dimension.  Points derived from a validated one are never
+built: `_on_coords` hands their coordinate tuples to the function's `_at`.
 
 The cut-plane splits into 2^n connected components indexed by the sign
 pattern of the imaginary parts.  The selective conjugation Psi_B(w, z)
@@ -26,6 +26,8 @@ Stieltjes inversion.
 from __future__ import annotations
 
 import cmath
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,6 +103,36 @@ def _integer(
     if isinstance(k, bool) or not isinstance(k, int) or k < lo or hi is not None and k > hi:
         bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise error(f"{what} must be an int {bounds}, got {k!r}")
+
+
+def _real(x, what: str, lo=-math.inf, hi=math.inf, error=InvalidArgumentError, open_lo=False):
+    """Raise `error` unless x is a finite real (a bool is not) in [lo, hi],
+    or in (lo, hi] when `open_lo`."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not (
+        -math.inf < x < math.inf and (lo < x if open_lo else lo <= x) and x <= hi
+    ):
+        left, right = "(" if open_lo or lo == -math.inf else "[", "]" if hi < math.inf else ")"
+        rule = f"a finite real in {left}{lo}, {hi}{right}"
+        if open_lo and lo == 0 and hi == math.inf:
+            rule = "positive and finite"
+        raise error(f"{what} must be {rule}, got {x!r}")
+
+
+def _height(y) -> None:
+    """Raise `InvalidPointError` unless y is a real, not a bool, with MIN_IMAG <= |y| < inf.
+    A float, as on every Stieltjes boundary value, skips the slow ABC check."""
+    if type(y) is not float and (isinstance(y, bool) or not isinstance(y, numbers.Real)) or not (
+        MIN_IMAG <= abs(y) < math.inf
+    ):
+        raise InvalidPointError(f"y = {y!r} does not lift x off the real axis")
+
+
+def _upper(z, what: str, n: int | None = None) -> CutPlanePoint:
+    """`_point(z, n)`, or `InvalidArgumentError` if it lies outside C+^n."""
+    z = _point(z, n)
+    if not z.is_upper():
+        raise InvalidArgumentError(f"{what} is only defined on C+^n")
+    return z
 
 
 def _dimension(n, what: str, error: type) -> None:

@@ -42,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import _dimension, _on_coords, _point
+from .core import _dimension, _on_coords, _point, _real, _upper
 from .errors import InvalidArgumentError, UnknownCatalogueIdError
 from .measures import (
     MU2,
@@ -51,6 +51,7 @@ from .measures import (
     Measure,
     MeasureSum,
     ProductDensity,
+    _measure,
     _pair_integral,
     constant_density,
     measure_from_dict,
@@ -62,6 +63,7 @@ class CauchyTypeFunction:
     """g(z) = (1/pi^n) integral K_n(z, t) dmu(t) on the whole cut-plane."""
 
     def __init__(self, measure: Measure):
+        _measure(measure)
         self.measure = measure
         self.dimension = measure.dimension
         self._prefactor = 1.0 / math.pi**self.dimension
@@ -97,14 +99,14 @@ class HerglotzTriple:
     mu: Measure
 
     def __post_init__(self):
+        _real(self.a, "a")
+        for x in self.b:
+            _real(x, "a b component", 0)
+        _measure(self.mu)
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
-        if any(x < 0 for x in self.b):
-            raise InvalidArgumentError("b components must be >= 0")
         if len(self.b) != self.mu.dimension:
             raise InvalidArgumentError("b and measure dimensions differ")
-        if not all(math.isfinite(x) for x in (self.a, *self.b)):
-            raise InvalidArgumentError("a and the b components must be finite")
 
 
 class HerglotzFunction:
@@ -185,9 +187,7 @@ class UpperRestriction:
         self._inner_at = _on_coords(f, f.dimension)
 
     def evaluate(self, z):
-        p = _point(z)
-        if not p.is_upper():
-            raise InvalidArgumentError(f"{self.name} is only defined on C+^n")
+        p = _upper(z, self.name)
         if hasattr(self.inner, "evaluate"):
             return self.inner.evaluate(p)
         return self.inner(p), 0.0

@@ -18,17 +18,17 @@ pair(p, q)(t) = (1/2i)(1/(t-p) - 1/(t-q)) (`_pair`): A(z, .) is (z, -i), the
 growth weight 1/(1+t^2) is (i, -i), and `_n_pairs` tabulates the N_rho.
 `_pair` and `kernel_k` skip input validation.  The six public entries
 check z with `core._point` (a scalar z as the point (z,)): a real,
-near-real, NaN or infinite coordinate raises `InvalidPointError`.  They
-check t with `core._real_vector`: a wrong length or a non-finite entry
-raises `InvalidArgumentError`.  The two kernel sums run through the
+near-real, NaN or infinite coordinate raises `InvalidPointError`; the two
+Poisson entries take `core._upper`.  They check t with
+`core._real_vector`: a wrong length or a non-finite entry raises
+`InvalidArgumentError`.  The two kernel sums run through the
 reflection sums of `core`.
 """
 
 from __future__ import annotations
 
 from . import core
-from .core import _integer, _point, _real_vector
-from .errors import InvalidArgumentError
+from .core import _integer, _point, _real_vector, _upper
 
 
 def _pair(p, q, t):
@@ -73,9 +73,7 @@ def n_factor(rho: int, z: complex, t: float) -> complex:
 
 def poisson(z, t) -> float:
     """Poisson kernel P_n(z, t) = prod Im[z_j] / |t_j - z_j|^2 for z in C+^n."""
-    zs = _point(z).coords
-    if any(c.imag <= 0 for c in zs):
-        raise InvalidArgumentError("poisson kernel requires all Im z_j > 0")
+    zs = _upper(z, "poisson").coords
     p = 1.0
     for c, x in zip(zs, _real_vector(t, len(zs))):
         p *= c.imag / abs(x - c) ** 2
@@ -91,8 +89,6 @@ def kernel_symmetry_residual(z, t) -> float:
 
 def poisson_alternating_sum(z, t) -> complex:
     """sum_B (-1)^|B| K_n(Psi_B(z,z), t); equals 2i P_n(z,t) for z in C+^n."""
-    zs = _point(z).coords
-    if any(c.imag <= 0 for c in zs):
-        raise InvalidArgumentError("alternating sum requires all Im z_j > 0")
+    zs = _upper(z, "poisson_alternating_sum").coords
     t = _real_vector(t, len(zs))
     return core.alternating_sum(lambda w: kernel_k(w, t), zs)

@@ -38,7 +38,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .errors import InvalidArgumentError
+from .core import _real
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,8 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        for tol in (self.abs_tol, self.rel_tol):
-            if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):
-                raise InvalidArgumentError(f"tolerances must be positive and finite, got {tol!r}")
+        _real(self.abs_tol, "abs_tol", 0, open_lo=True)
+        _real(self.rel_tol, "rel_tol", 0, open_lo=True)
 
 
 #: The rule of every quadrature but Stieltjes inversion's, which takes its own.

@@ -1,4 +1,4 @@
-"""Stdlib-only stand-ins for four lint rules on the library modules.
+"""Stdlib-only stand-ins for five lint rules on the library modules.
 
 Every name a library module imports is used in that module: a name bound
 by an import statement must appear as a name somewhere in the module.  The
@@ -14,6 +14,12 @@ Caller input is checked in ``core`` alone: no other module tests
 ``isinstance(..., CutPlanePoint)`` or compares an ``.imag`` with zero by
 ``==`` or ``!=``.  Those are hand-made copies of the point rule, which
 every public entry reaches through ``core._point``.
+
+No module but ``core`` compares a value against infinity (``math.inf``,
+however it is spelled: an ``inf`` attribute or name, or ``float("inf")``).
+Such a comparison is a hand-made copy of a finiteness rule, which every
+real parameter reaches through ``core._real`` and every boundary height
+through ``core._height``.
 
 No module imports scipy outside a function body: not at module level, in
 a class body or under a module-level ``if`` or ``try``, by an import
@@ -266,3 +272,67 @@ def test_scipy_import_lint_rejects(source):
 )
 def test_scipy_import_lint_accepts(source):
     assert not scipy_imports_outside_functions(ast.parse(source))
+
+
+def _is_inf(node) -> bool:
+    """Whether an expression is infinity: an `inf` attribute or name, or
+    float("inf"), with any sign."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        return _is_inf(node.operand)
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "inf"
+        or isinstance(node, ast.Name) and node.id == "inf"
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+        and node.args[0].value.strip().lstrip("+-").lower() in ("inf", "infinity")
+    )
+
+
+def inf_comparisons(tree) -> list:
+    """Line numbers where `tree` compares a value against infinity."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(map(_is_inf, [node.left, *node.comparators]))
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_finiteness_rules_live_in_core(path):
+    lines = inf_comparisons(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} compares with infinity at lines {lines}; use core._real"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "ok = 0 < tol < math.inf",
+        "if not 0 <= c < math.inf: pass",
+        "if x == -math.inf: pass",
+        "ok = x < np.inf",
+        "from math import inf\nok = all(0 <= w < inf for w in ws)",
+        "ok = x != float('inf')",
+        "ok = x > float('-Infinity')",
+    ],
+)
+def test_finiteness_lint_rejects(source):
+    assert inf_comparisons(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "_real(tol, 'tolerance', 0, open_lo=True)",
+        "ok = math.isfinite(x)",
+        "result = GrowthResult(False, math.inf)",
+        "if x < math.pi: pass",
+        "if stats.inf_count > 3: pass",
+        "ok = x < float('nan')",
+    ],
+)
+def test_finiteness_lint_accepts(source):
+    assert not inf_comparisons(ast.parse(source))

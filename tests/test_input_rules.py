@@ -7,8 +7,16 @@ vector t must hold one finite float per coordinate, and a declared
 dimension (a catalogue-style function's, a test function's) must be an int,
 not a bool, in 1..MAX_DIMENSION.  Every other integer parameter (n_factor's
 rho, a Stoltz limit's axis and alternate bases, a Richardson order) must
-be an int, not a bool, in its own range.  A curve whose slope is too small for
-double precision raises `InvalidArgumentError`, never NaN.
+be an int, not a bool, in its own range, and so must a sampled check's seed.
+Every real parameter (a tolerance, a width, a ladder step, a measure's
+weights, coordinates and scales, a Herglotz a and b) must be a finite real,
+not a bool, in its own range, and raises its entry's own error class
+otherwise; a boundary height y must lift x off the real axis.  The entries
+defined on C+^n only share one message for a point outside it, and every
+entry that takes a measure argument rejects anything else as an unknown
+variant.  A curve whose slope is too small for double precision raises
+`InvalidArgumentError`, never NaN, in both curve engines, unless a zero
+factor makes the product 0.
 """
 
 import json
@@ -16,39 +24,54 @@ import json
 import pytest
 
 from polyherglotz import (
+    Atomic,
     CauchyTypeFunction,
     ClosedFormFunction,
     CurvePushforward,
+    DensityDescriptor,
     HerglotzFunction,
     HerglotzTriple,
     InvalidArgumentError,
+    InvalidMeasureError,
     InvalidPointError,
     LebesgueScaled,
+    LimitConfig,
+    MeasureSum,
+    QuadratureConfig,
     catalogue,
+    characterize,
     check_growth,
+    constant_density,
     evaluate_cauchy,
     full_symmetry_sum,
     gaussian_density,
+    integrate,
     kernel_K,
     kernel_K1_closed,
     kernel_symmetry_residual,
+    measure_to_json,
     n_factor,
     nevanlinna_residual,
+    nondependence_test,
     phi_cauchy,
     phi_gaussian,
     point,
     poisson,
     poisson_alternating_sum,
+    positivity_check,
     reconstruct_from_upper,
     restrict_to_upper,
     richardson_tableau,
+    stieltjes_cauchy_type,
+    stieltjes_classic,
     stoltz_limit,
+    symmetry_check,
     symmetry_residual,
 )
-from polyherglotz.analysis import _LinearlyShifted
+from polyherglotz.analysis import _LinearlyShifted, alternating_boundary_sum
 from polyherglotz.cli import main
 from polyherglotz.core import MAX_DIMENSION
-from polyherglotz.measures import measure_to_dict, pair_integral
+from polyherglotz.measures import _curve_pair_integral, measure_to_dict, pair_integral
 
 NAN, INF = float("nan"), float("inf")
 
@@ -247,8 +270,13 @@ def test_a_tiny_slope_raises_in_the_curve_quadrature(alpha):
 
 @pytest.mark.parametrize("alpha", [1e-200, 1e-320])
 def test_a_tiny_slope_with_a_zero_factor_gives_zero(alpha):
-    """pair(i, i) vanishes on every axis, so the product does too."""
-    assert pair_integral(tiny_curve(alpha), [(1j, 1j), (2j, -1j)]) == (0j, 0.0)
+    """pair(i, i) vanishes on every axis, so the product does too, in the
+    curve quadrature and in the exact engine alike."""
+    pairs = [(1j, 1j), (2j, -1j)]
+    for weight in (gaussian_density(0.4, 0.7), constant_density(1.0)):
+        mu = CurvePushforward((alpha, alpha), (0.0, 0.0), weight)
+        assert pair_integral(mu, pairs) == (0j, 0.0)
+        assert _curve_pair_integral(mu, pairs) == 0j
 
 
 def test_a_slope_within_range_keeps_its_value():
@@ -265,3 +293,187 @@ def test_cli_rejects_a_tiny_slope(tmp_path, capsys):
     path.write_text(json.dumps({"type": "cauchy", "measure": measure_to_dict(tiny_curve(1e-200))}))
     assert main(["eval", "--fn", f"@{path}", "--point", "i,2i"]) == 2
     assert "overflows double precision" in capsys.readouterr().err
+
+
+# --- real parameters ------------------------------------------------------------------
+
+W = constant_density(1.0)
+LAMBDA1 = LebesgueScaled(1.0, 1)
+
+#: Every real parameter, as (its entry called with x, the entry's error class,
+#: values out of its range).  A parameter that any finite real may take has none.
+REAL_ENTRIES = {
+    "LimitConfig stoltz_angle": (
+        lambda x: LimitConfig(stoltz_angle=x), InvalidArgumentError, [0.0, -0.5, 1.6]
+    ),
+    "LimitConfig radius_sequence": (
+        lambda x: LimitConfig(radius_sequence=x), InvalidArgumentError, [(), []]
+    ),
+    "LimitConfig y_sequence": (
+        lambda x: LimitConfig(y_sequence=x), InvalidArgumentError, [(), []]
+    ),
+    "LimitConfig radius": (
+        lambda x: LimitConfig(radius_sequence=(x, 1e300)), InvalidArgumentError, [0.0, -4.0]
+    ),
+    "LimitConfig y step": (
+        lambda x: LimitConfig(y_sequence=(1e300, x)), InvalidArgumentError, [0.0, -0.5, 1e-310]
+    ),
+    "symmetry_check tol": (
+        lambda x: symmetry_check(F2, tol=x), InvalidArgumentError, [0.0, -1e-9]
+    ),
+    "positivity_check tol": (
+        lambda x: positivity_check(F2, tol=x), InvalidArgumentError, [0.0, -1e-9]
+    ),
+    "nondependence_test tol": (
+        lambda x: nondependence_test(F2, tol=x), InvalidArgumentError, [0.0, -1e-9]
+    ),
+    "stieltjes_cauchy_type conv_tol": (
+        lambda x: stieltjes_cauchy_type(F2, phi_cauchy(2), conv_tol=x),
+        InvalidArgumentError,
+        [0.0, -5e-4],
+    ),
+    "stieltjes_classic conv_tol": (
+        lambda x: stieltjes_classic(restrict_to_upper(F2), phi_cauchy(2), conv_tol=x),
+        InvalidArgumentError,
+        [0.0, -5e-4],
+    ),
+    "phi_gaussian sigma": (lambda x: phi_gaussian(2, x), InvalidArgumentError, [0.0, -1.0]),
+    "alternating_boundary_sum y": (
+        lambda x: alternating_boundary_sum(F2, (0.3, -0.2), x),
+        InvalidPointError,
+        [0.0, 1e-310, -1e-310],
+    ),
+    "QuadratureConfig abs_tol": (
+        lambda x: QuadratureConfig(abs_tol=x), InvalidArgumentError, [0.0, -1e-10]
+    ),
+    "QuadratureConfig rel_tol": (
+        lambda x: QuadratureConfig(rel_tol=x), InvalidArgumentError, [0.0, -1e-9]
+    ),
+    "HerglotzTriple a": (
+        lambda x: HerglotzTriple(x, (0.0,), LAMBDA1), InvalidArgumentError, []
+    ),
+    "HerglotzTriple b": (
+        lambda x: HerglotzTriple(0.0, (x,), LAMBDA1), InvalidArgumentError, [-1.0]
+    ),
+    "constant_density c": (lambda x: constant_density(x), InvalidMeasureError, [-1.0]),
+    "DensityDescriptor constant c": (
+        lambda x: DensityDescriptor("constant", (x,)), InvalidMeasureError, [-1.0]
+    ),
+    "gaussian_density mean": (lambda x: gaussian_density(x, 1.0), InvalidMeasureError, []),
+    "gaussian_density sigma": (
+        lambda x: gaussian_density(0.0, x), InvalidMeasureError, [0.0, -1.0]
+    ),
+    "DensityDescriptor gaussian mean": (
+        lambda x: DensityDescriptor("gaussian", (x, 1.0)), InvalidMeasureError, []
+    ),
+    "DensityDescriptor gaussian sigma": (
+        lambda x: DensityDescriptor("gaussian", (0.0, x)), InvalidMeasureError, [0.0, -1.0]
+    ),
+    "Atomic weight": (lambda x: Atomic(((0.5,),), (x,)), InvalidMeasureError, [-1.0]),
+    "Atomic coordinate": (lambda x: Atomic(((x,),), (1.0,)), InvalidMeasureError, []),
+    "LebesgueScaled c": (lambda x: LebesgueScaled(x, 2), InvalidMeasureError, [-1.0]),
+    "CurvePushforward alpha": (
+        lambda x: CurvePushforward((x, 1.0), (0.0, 0.0), W), InvalidMeasureError, []
+    ),
+    "CurvePushforward beta": (
+        lambda x: CurvePushforward((1.0, 1.0), (0.0, x), W), InvalidMeasureError, []
+    ),
+    "CurvePushforward scale": (
+        lambda x: CurvePushforward((1.0, 1.0), (0.0, 0.0), W, x), InvalidMeasureError, [-1.0]
+    ),
+}
+
+NOT_FINITE_REALS = {"bool": True, "str": "1", "complex": 1j, "nan": NAN, "inf": INF, "-inf": -INF}
+
+
+def raised(entry, x) -> type:
+    """The type of the exception that entry(x) raises."""
+    with pytest.raises(Exception) as info:
+        entry(x)
+    return info.type
+
+
+@pytest.mark.parametrize("x", NOT_FINITE_REALS.values(), ids=NOT_FINITE_REALS.keys())
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRIES))
+def test_real_parameters_reject_what_is_not_a_finite_real(entry, x):
+    make, error, _ = REAL_ENTRIES[entry]
+    assert raised(make, x) is error
+
+
+@pytest.mark.parametrize(
+    "entry, x", [(e, x) for e, (_, _, out) in sorted(REAL_ENTRIES.items()) for x in out], ids=repr
+)
+def test_real_parameters_reject_a_value_out_of_range(entry, x):
+    make, error, _ = REAL_ENTRIES[entry]
+    assert raised(make, x) is error
+
+
+def test_valid_reals_are_stored_as_given():
+    want = '{"c": 1, "dimension": 2, "type": "lebesgue_scaled"}'
+    assert measure_to_json(LebesgueScaled(1, 2)) == want
+    assert DensityDescriptor("constant", (1,)).params == (1,)
+    assert constant_density(1).params == (1.0,) and gaussian_density(0, 2).params == (0.0, 2.0)
+    assert LimitConfig(stoltz_angle=1).stoltz_angle == 1
+
+
+# --- seeds ------------------------------------------------------------------------------
+
+SEED_ENTRIES = {
+    "symmetry_check": lambda k: symmetry_check(F2, seed=k),
+    "positivity_check": lambda k: positivity_check(F2, seed=k),
+    "characterize": lambda k: characterize(F2, seed=k),
+}
+
+
+@pytest.mark.parametrize("k", [True, "1", 1j, NAN, INF, -INF, 1.5, -1], ids=repr)
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRIES))
+def test_seeds_follow_the_integer_rule(entry, k):
+    with pytest.raises(InvalidArgumentError, match="seed must be an int >= 0"):
+        SEED_ENTRIES[entry](k)
+
+
+def test_a_seed_is_reported_as_given():
+    report = symmetry_check(catalogue("f7"), seed=0)
+    assert report.config["seed"] == 0 and report.verdict == "pass"
+
+
+# --- entries defined on C+^n only -------------------------------------------------------
+
+UPPER_ENTRIES = {
+    "poisson": lambda z: poisson(z, T2),
+    "poisson_alternating_sum": lambda z: poisson_alternating_sum(z, T2),
+    "nevanlinna_residual": lambda z: nevanlinna_residual(LebesgueScaled(1.0, 2), z),
+    "UpperRestriction.evaluate": restrict_to_upper(F2).evaluate,
+}
+
+
+@pytest.mark.parametrize("z", [(1j, -1j), (-1j, 1j), (-1j, -2j)])
+@pytest.mark.parametrize("entry", sorted(UPPER_ENTRIES))
+def test_upper_entries_share_one_message_off_c_plus(entry, z):
+    with pytest.raises(InvalidArgumentError, match=r"is only defined on C\+\^n$") as info:
+        UPPER_ENTRIES[entry](z)
+    assert info.type is InvalidArgumentError
+
+
+# --- measure arguments ------------------------------------------------------------------
+
+MEASURE_ENTRIES = {
+    "CauchyTypeFunction": CauchyTypeFunction,
+    "HerglotzTriple": lambda mu: HerglotzTriple(0.0, (0.0,), mu),
+    "MeasureSum term": lambda mu: MeasureSum((LAMBDA1, mu)),
+    "check_growth": check_growth,
+    "nevanlinna_residual": lambda mu: nevanlinna_residual(mu, point(1j, 1j)),
+    "integrate": lambda mu: integrate(mu, lambda t: 1.0),
+    "pair_integral": lambda mu: pair_integral(mu, [(1j, -1j)]),
+    "measure_to_dict": measure_to_dict,
+}
+
+
+@pytest.mark.parametrize(
+    "mu", [True, "lambda", 1j, NAN, INF, None, W, (LAMBDA1,)], ids=repr
+)
+@pytest.mark.parametrize("entry", sorted(MEASURE_ENTRIES))
+def test_measure_arguments_reject_a_non_measure(entry, mu):
+    with pytest.raises(InvalidArgumentError, match="unknown measure variant") as info:
+        MEASURE_ENTRIES[entry](mu)
+    assert info.type is InvalidArgumentError

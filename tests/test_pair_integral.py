@@ -113,7 +113,8 @@ def test_curve_pair_integral_matches_integrate(case):
 def curve_pair_integral_unshared(mu, pairs):
     """The curve branch of `pair_integral` with every node computed in each
     of `quad`'s two passes, as it was before they shared values."""
-    const, poles = measures._curve_poles(mu, pairs)
+    const, nodes = measures._curve_substitution(mu, pairs)
+    poles = list(zip(nodes[::2], nodes[1::2]))
     w = mu.weight._fn
 
     def g(s):

@@ -1,16 +1,18 @@
-"""SHA-256 digests of a perfbench workload's task outputs.
+"""SHA-256 digests of perfbench workloads' task outputs.
 
 Run from the repository root:
 
-    python3 tools/output_digest.py --workload pointwise-checks --seed 0
+    python3 tools/output_digest.py > digests.txt
+    python3 tools/output_digest.py --workload pointwise-checks --seed 0 3
 
-Runs one repetition of the workload's tasks as perfbench does (cold
-library caches, construction, then the tasks in order) but untimed, and
-prints one line per task, the SHA-256 of ``repr`` of its output and the
-task's name, then one digest over all tasks.  A task that raises gives
-the exception's type and message in place of an output.  Two checkouts
-that print the same digests computed every output bit for bit alike:
-compare the output of both with ``diff``.
+For each workload and seed asked for (by default all four workloads, each
+at seeds 0, 3 and 5), runs one repetition of the workload's tasks as
+perfbench does (cold library caches, construction, then the tasks in
+order) but untimed.  It prints one line per task, the SHA-256 of ``repr``
+of its output and the task's name, then that pair's total, one digest over
+all its tasks.  A task that raises gives the exception's type and message
+in place of an output.  Two checkouts that print the same digests computed
+every output bit for bit alike: compare the output of both with ``diff``.
 
 The workloads, their inputs and the cache reset are perfbench's own,
 imported from ``perfbench/``; the library is imported from ``src/``.
@@ -47,15 +49,17 @@ def task_digests(workload_name: str, seed: int) -> list:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--workload", nargs="+", choices=WORKLOAD_NAMES, default=WORKLOAD_NAMES)
+    ap.add_argument("--seed", nargs="+", type=int, default=(0, 3, 5))
     args = ap.parse_args(argv)
-    digests = task_digests(args.workload, args.seed)
-    total = hashlib.sha256()
-    for digest, name in digests:
-        print(f"{digest}  {name}")
-        total.update(bytes.fromhex(digest))
-    print(f"{total.hexdigest()}  all {len(digests)} tasks")
+    for workload in args.workload:
+        for seed in args.seed:
+            digests = task_digests(workload, seed)
+            total = hashlib.sha256()
+            for digest, name in digests:
+                print(f"{digest}  {workload} seed {seed}: {name}")
+                total.update(bytes.fromhex(digest))
+            print(f"{total.hexdigest()}  {workload} seed {seed}: all {len(digests)} tasks")
     return 0
 
 

@@ -26,6 +26,7 @@ from .core import (
     _on_coords,
     _point,
     _real,
+    _real_vector,
     alternating_sum,
     symmetry_sum,
 )
@@ -46,7 +47,9 @@ class LimitConfig:
     The ladders may shrink their steps by any ratio: the extrapolation reads
     the steps themselves.  The checks make every ray point r*e^(+-i*angle)
     and every ladder point x + iy a valid cut-plane point, so those are
-    evaluated unchecked, as coordinate tuples.
+    evaluated unchecked, as coordinate tuples.  The ray points of both
+    directions and the steps 1/r are computed once, here, for every Stoltz
+    limit taken with the config; they are private attributes, not fields.
     """
 
     stoltz_angle: float = math.pi / 4
@@ -69,9 +72,21 @@ class LimitConfig:
             raise InvalidArgumentError(f"min(radius) * sin(angle) must be >= {MIN_IMAG}")
         if any(y[i] <= y[i + 1] for i in range(len(y) - 1)):
             raise InvalidArgumentError("y sequence must decrease")
+        phase = cmath.exp(1j * self.stoltz_angle)
+        object.__setattr__(self, "_upper_ray", tuple([ri * phase for ri in r]))
+        object.__setattr__(self, "_lower_ray", tuple([ri * phase.conjugate() for ri in r]))
+        object.__setattr__(self, "_steps", tuple([1.0 / ri for ri in r]))
 
 
 DEFAULT_LIMITS = LimitConfig()
+
+
+def _config(cfg, cls: type) -> None:
+    """Raise `InvalidArgumentError` unless cfg is a `cls`.  The limit and
+    inversion entries call this before any work: a dict of the same fields
+    would fail later, and has none of the rays a `LimitConfig` computes."""
+    if not isinstance(cfg, cls):
+        raise InvalidArgumentError(f"a {cls.__name__} is expected, got {cfg!r}")
 
 
 @dataclass
@@ -106,6 +121,11 @@ def richardson_tableau(values: Sequence[complex], h: Sequence[float], order: int
     _integer(order, "order", 0)
     if len(h) != len(values):
         raise InvalidArgumentError("the tableau needs one step per value")
+    return _tableau(values, h, order)
+
+
+def _tableau(values: Sequence[complex], h: Sequence[float], order: int):
+    """`richardson_tableau` unchecked: one step per value, order >= 0."""
     cols = [list(values)]
     for m in range(1, order + 1):
         prev = cols[-1]
@@ -123,7 +143,7 @@ def _extrapolate(values: Sequence[complex], steps: Sequence[float], conv_tol: fl
     least order + 2 steps and its last two full-order extrapolants agree
     within `conv_tol`."""
     order = _EXTRAPOLATION_ORDER
-    cols = richardson_tableau(values, steps, order)
+    cols = _tableau(values, steps, order)
     running = [col[0] for col in cols[:-1]] + cols[-1]
     top = cols[-1]
     converged = len(values) >= order + 2 and abs(top[-1] - top[-2]) <= conv_tol
@@ -339,12 +359,17 @@ def stoltz_limit(
 
     `j` is 1-based.  The estimate is Richardson-extrapolated in the steps
     1/r of the radius sequence; alternate bases probe independence from
-    the non-j coordinates.  Alternate k sets non-j coordinate i to
+    the non-j coordinates.  Every ray's final extrapolant and convergence
+    read its last order + 2 values alone, so each ray's tableau is built
+    on those.  The base's ray is evaluated at every radius, for `samples`;
+    a ray of fewer than order + 2 radii reaches the column it can and
+    never converges.  Alternate k sets non-j coordinate i to
     `_ALT_BASE_COORDS[(k + i) % 4]`: at most 4 are distinct, and for n = 1
     each is the base.  Each distinct one that differs from the base is
-    evaluated once, at the last order + 2 radii, all that its final
-    extrapolant and its convergence read.
+    evaluated once, at the last order + 2 radii.  The ray points and steps
+    come with `cfg`, computed once.
     """
+    _config(cfg, LimitConfig)
     if direction not in ("upper", "lower"):
         raise InvalidArgumentError("direction must be 'upper' or 'lower'")
     n = f.dimension
@@ -352,19 +377,17 @@ def stoltz_limit(
     _integer(base_alternates, "base_alternates", 0)
     jj = j - 1
     base = _point(base)
-    phase = cmath.exp(1j * cfg.stoltz_angle)
-    if direction == "lower":
-        phase = phase.conjugate()
     # the ray and its steps 1/r are shared by the base and its alternates
-    ray = [r * phase for r in cfg.radius_sequence]
-    steps = [1.0 / r for r in cfg.radius_sequence]
+    ray = cfg._upper_ray if direction == "upper" else cfg._lower_ray
+    last = _EXTRAPOLATION_ORDER + 2
+    steps = cfg._steps[-last:]
     g = _on_coords(f, base.n)
 
     def along(coords, radii):
         """(final extrapolant, converged, f(z)/z_j) on the last `radii` radii."""
         head, tail = coords[:jj], coords[jj + 1 :]
         values = [g(head + (zj,) + tail) / zj for zj in ray[-radii:]]
-        running, converged = _extrapolate(values, steps[-radii:], _STOLTZ_TOL)
+        running, converged = _extrapolate(values[-last:], steps, _STOLTZ_TOL)
         return running[-1], converged, values
 
     est, converged, values = along(base.coords, len(ray))
@@ -374,7 +397,7 @@ def stoltz_limit(
         for k in range(base_alternates)
     )
     others.pop(base.coords, None)
-    limits = [along(coords, _EXTRAPOLATION_ORDER + 2)[:2] for coords in others]
+    limits = [along(coords, last)[:2] for coords in others]
     spread = max([0.0] + [abs(e - est) for e, _ in limits])
     converged = converged and all(c for _, c in limits)
     return StoltzResult(est, converged, direction, j, spread, tuple(values), cfg)
@@ -430,6 +453,7 @@ def characterize(
     pass.
     """
     _integer(seed, "seed", 0)
+    _config(cfg, LimitConfig)
     n = f.dimension
     base = CutPlanePoint((_CHARACTERIZE_BASE,) * n)
     d = []
@@ -570,19 +594,21 @@ def _stieltjes(f, boundary, phi, cfg, quad, conv_tol, mode) -> InversionResult:
     """Integrate phi(x) * boundary(x, y) over R^n on the y ladder and
     extrapolate in the steps y to y -> 0+.  The quadrature hints of each
     row are the spikes of `measures.boundary_hints` at its y for the
-    function's `measure`, when it has one."""
+    function's `measure`, when it has one.  The callers have checked cfg
+    and quad."""
     n = phi.dimension
     if f.dimension != n:
         raise InvalidArgumentError("test function and function dimensions differ")
     _real(conv_tol, "tolerance", 0, open_lo=True)
     _spot_check_bound(phi)
     mu = getattr(f, "measure", None)
+    phi_at = phi.func
 
     raw = []
     for y in cfg.y_sequence:
 
         def integrand(x, y=y):
-            return phi(x) * boundary(x, y)
+            return phi_at(x) * boundary(x, y)
 
         hints = None if mu is None else (lambda prefix, y=y: boundary_hints(mu, prefix, y))
         val, _ = integrate_rn(integrand, n, quad, hints=hints)
@@ -605,7 +631,8 @@ def stieltjes_classic(
     conv_tol: float = 5e-4,
 ) -> InversionResult:
     """Recover integral phi dmu from Im h on C+^n as y -> 0+."""
-
+    _config(cfg, LimitConfig)
+    _config(quad, QuadratureConfig)
     h = _on_coords(h_upper, phi.dimension)
 
     def im_h(x, y):
@@ -617,12 +644,19 @@ def stieltjes_classic(
 def alternating_boundary_sum(g, x: tuple, y: float) -> complex:
     """(1/2i) sum_B (-1)^|B| g(Psi_B(x+iy, x+iy)) at finite real x.
 
-    Only y is checked (`core._height`); the ladder point and its
-    reflections are evaluated unchecked, as coordinate tuples.
+    y is checked by `core._height`, and each entry of x by `_real`'s rule
+    (`core._real_vector`); the length of x is left to g, as at every
+    `analysis` entry.  The ladder point and its reflections are then
+    evaluated unchecked, as coordinate tuples (`_boundary_sum`).
     """
     _height(y)
-    z = tuple(complex(v, y) for v in x)
-    return alternating_sum(_on_coords(g, len(z)), z) / 2j
+    x = tuple(x)
+    return _boundary_sum(_on_coords(g, len(x)), _real_vector(x, len(x)), y)
+
+
+def _boundary_sum(g_at, x: tuple, y: float) -> complex:
+    """`alternating_boundary_sum` unchecked, for g on coordinate tuples."""
+    return alternating_sum(g_at, tuple([complex(v, y) for v in x])) / 2j
 
 
 def stieltjes_cauchy_type(
@@ -633,10 +667,16 @@ def stieltjes_cauchy_type(
     conv_tol: float = 5e-4,
 ) -> InversionResult:
     """Recover integral phi dmu of a Cauchy-type function's defining measure
-    from its values on all 2^n components."""
+    from its values on all 2^n components.  g is resolved on coordinate
+    tuples once; every boundary value is the unchecked `_boundary_sum`, as
+    the ladder is valid by `LimitConfig`'s checks and x comes from the
+    quadrature."""
+    _config(cfg, LimitConfig)
+    _config(quad, QuadratureConfig)
+    g_at = _on_coords(g, phi.dimension)
 
     def boundary(x, y):
         # looked up at call time, so a wrapper patched onto the module sees it
-        return alternating_boundary_sum(g, x, y)
+        return _boundary_sum(g_at, x, y)
 
     return _stieltjes(g, boundary, phi, cfg, quad, conv_tol, "alternating")

@@ -7,9 +7,10 @@ real, NaN and infinite coordinates (`InvalidPointError`); an entry takes
 its point through `_point` (which checks a fixed dimension), or `_upper`
 if defined on C+^n only; `_real` checks every real parameter (a finite
 real, not a bool, in range, or the caller's error class), `_height` the y
-of a Stieltjes boundary point, `_real_vector` a kernel's t, `_integer`
-every integer parameter (an axis, an order, rho, a seed) and `_dimension`
-every declared dimension.  Points derived from a validated one are never
+of a Stieltjes boundary point, `_real_vector` a kernel's t and a boundary
+point's x (each entry by `_real`'s rule), `_integer` every integer
+parameter (an axis, an order, rho, a seed) and `_dimension` every
+declared dimension.  Points derived from a validated one are never
 built: `_on_coords` hands their coordinate tuples to the function's `_at`.
 
 The cut-plane splits into 2^n connected components indexed by the sign
@@ -87,12 +88,20 @@ def _point(z, n: int | None = None) -> CutPlanePoint:
     return z
 
 
+def _finite_real(x) -> bool:
+    """Whether x is a finite real, not a bool.  A float skips the slow ABC check."""
+    return (
+        type(x) is float or not isinstance(x, bool) and isinstance(x, numbers.Real)
+    ) and -math.inf < x < math.inf
+
+
 def _real_vector(t, n: int) -> tuple:
-    """t as a tuple of n finite floats, or `InvalidArgumentError`."""
-    t = tuple([float(x) for x in t])
-    if len(t) != n or not all(map(cmath.isfinite, t)):
+    """t as a tuple of n floats, or `InvalidArgumentError` unless each
+    entry is a finite real, not a bool (`_real`'s rule)."""
+    t = tuple(t)
+    if len(t) != n or not all(map(_finite_real, t)):
         raise InvalidArgumentError(f"t = {t} must hold {n} finite reals")
-    return t
+    return tuple([float(x) for x in t])
 
 
 def _integer(
@@ -108,9 +117,7 @@ def _integer(
 def _real(x, what: str, lo=-math.inf, hi=math.inf, error=InvalidArgumentError, open_lo=False):
     """Raise `error` unless x is a finite real (a bool is not) in [lo, hi],
     or in (lo, hi] when `open_lo`."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not (
-        -math.inf < x < math.inf and (lo < x if open_lo else lo <= x) and x <= hi
-    ):
+    if not (_finite_real(x) and (lo < x if open_lo else lo <= x) and x <= hi):
         left, right = "(" if open_lo or lo == -math.inf else "[", "]" if hi < math.inf else ")"
         rule = f"a finite real in {left}{lo}, {hi}{right}"
         if open_lo and lo == 0 and hi == math.inf:
@@ -119,11 +126,9 @@ def _real(x, what: str, lo=-math.inf, hi=math.inf, error=InvalidArgumentError, o
 
 
 def _height(y) -> None:
-    """Raise `InvalidPointError` unless y is a real, not a bool, with MIN_IMAG <= |y| < inf.
-    A float, as on every Stieltjes boundary value, skips the slow ABC check."""
-    if type(y) is not float and (isinstance(y, bool) or not isinstance(y, numbers.Real)) or not (
-        MIN_IMAG <= abs(y) < math.inf
-    ):
+    """Raise `InvalidPointError` unless y is a finite real, not a bool, with
+    |y| >= MIN_IMAG."""
+    if not (_finite_real(y) and MIN_IMAG <= abs(y)):
         raise InvalidPointError(f"y = {y!r} does not lift x off the real axis")
 
 

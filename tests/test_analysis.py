@@ -510,7 +510,7 @@ def test_stieltjes_f2_rows_near_exact(monkeypatch):
     # the alternating boundary sum of a Cauchy-type function is the Poisson
     # integral of its measure, so against phi_cauchy(2) the f2 row at y is
     # the MU2 integral of prod (1+y)/(t^2+(1+y)^2), that is pi^2/(2(1+y))
-    calls = count_calls(monkeypatch, analysis, "alternating_boundary_sum")
+    calls = count_calls(monkeypatch, analysis, "_boundary_sum")
     ladder = (2.0**-5, 2.0**-6, 2.0**-7)
     res = stieltjes_cauchy_type(
         catalogue("f2"), phi_cauchy(2), LimitConfig(y_sequence=ladder)

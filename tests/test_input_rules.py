@@ -3,9 +3,10 @@
 A point entry takes a `CutPlanePoint` or coordinates: real, near-real, NaN
 and infinite coordinates raise `InvalidPointError`, and an entry that fixes
 a dimension raises `InvalidArgumentError` for another one.  A kernel's real
-vector t must hold one finite float per coordinate, and a declared
-dimension (a catalogue-style function's, a test function's) must be an int,
-not a bool, in 1..MAX_DIMENSION.  Every other integer parameter (n_factor's
+vector t, and the x of a boundary point, must hold one finite real, not a
+bool, per coordinate, and a declared dimension (a catalogue-style
+function's, a test function's) must be an int, not a bool, in
+1..MAX_DIMENSION.  Every other integer parameter (n_factor's
 rho, a Stoltz limit's axis and alternate bases, a Richardson order) must
 be an int, not a bool, in its own range, and so must a sampled check's seed.
 Every real parameter (a tolerance, a width, a ladder step, a measure's
@@ -16,11 +17,14 @@ defined on C+^n only share one message for a point outside it, and every
 entry that takes a measure argument rejects anything else as an unknown
 variant.  A curve whose slope is too small for double precision raises
 `InvalidArgumentError`, never NaN, in both curve engines, unless a zero
-factor makes the product 0.
+factor makes the product 0.  The limit and inversion entries take their
+configs as `LimitConfig` and `QuadratureConfig` instances, or raise
+`InvalidArgumentError` before any work.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from polyherglotz import (
@@ -38,6 +42,7 @@ from polyherglotz import (
     LimitConfig,
     MeasureSum,
     QuadratureConfig,
+    analysis,
     catalogue,
     characterize,
     check_growth,
@@ -72,6 +77,7 @@ from polyherglotz.analysis import _LinearlyShifted, alternating_boundary_sum
 from polyherglotz.cli import main
 from polyherglotz.core import MAX_DIMENSION
 from polyherglotz.measures import _curve_pair_integral, measure_to_dict, pair_integral
+from conftest import count_calls
 
 NAN, INF = float("nan"), float("inf")
 
@@ -156,7 +162,7 @@ def test_every_point_entry_takes_coordinates_as_their_point(entry, z):
     assert outcome(f, z) == outcome(f, point(*z))
 
 
-# --- the real vector t --------------------------------------------------------
+# --- real vectors: a kernel's t, a boundary point's x ---------------------------
 
 KERNEL_T_ENTRIES = {
     "kernel_K": lambda t: kernel_K(point(1j, 1j), t),
@@ -165,6 +171,7 @@ KERNEL_T_ENTRIES = {
     "poisson_alternating_sum": lambda t: poisson_alternating_sum(point(1j, 1j), t),
     "kernel_K1_closed": lambda t: kernel_K1_closed(1j, t[0]),
     "n_factor": lambda t: n_factor(1, 1j, t[0]),
+    "alternating_boundary_sum": lambda t: alternating_boundary_sum(F2, t, 0.5),
 }
 
 
@@ -177,11 +184,58 @@ def test_every_kernel_entry_rejects_a_non_finite_t(entry, bad):
 
 @pytest.mark.parametrize("t", [(0.1,), (0.1, 0.2, 0.3), ()])
 @pytest.mark.parametrize(
-    "entry", ["kernel_K", "poisson", "kernel_symmetry_residual", "poisson_alternating_sum"]
+    "entry",
+    ["kernel_K", "poisson", "kernel_symmetry_residual", "poisson_alternating_sum",
+     "alternating_boundary_sum"],
 )
 def test_every_kernel_entry_rejects_a_t_of_another_length(entry, t):
     with pytest.raises(InvalidArgumentError):
         KERNEL_T_ENTRIES[entry](t)
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, False, 1j, None], ids=repr)
+@pytest.mark.parametrize("entry", sorted(KERNEL_T_ENTRIES))
+def test_every_real_vector_entry_rejects_what_is_not_a_real(entry, bad):
+    with pytest.raises(InvalidArgumentError, match="finite reals"):
+        KERNEL_T_ENTRIES[entry]((bad, 0.0))
+
+
+def test_real_vectors_take_ints_and_numpy_reals_as_floats():
+    z = point(0.4 + 1.2j, 0.3 - 0.8j)
+    assert repr(kernel_K(z, (1, np.float64(0.5)))) == repr(kernel_K(z, (1.0, 0.5)))
+    assert repr(alternating_boundary_sum(F2, [np.int64(1), 0.5], 0.25)) == repr(
+        alternating_boundary_sum(F2, (1.0, 0.5), 0.25)
+    )
+
+
+# --- config arguments ---------------------------------------------------------------
+
+#: Every config argument of a limit or inversion entry, called with c.
+CONFIG_ENTRIES = {
+    "stoltz_limit cfg": lambda c: stoltz_limit(F2, 1, (1j, 1j), c),
+    "characterize cfg": lambda c: characterize(F2, c),
+    "stieltjes_classic cfg": lambda c: stieltjes_classic(restrict_to_upper(F2), phi_cauchy(2), c),
+    "stieltjes_classic quad": (
+        lambda c: stieltjes_classic(restrict_to_upper(F2), phi_cauchy(2), quad=c)
+    ),
+    "stieltjes_cauchy_type cfg": lambda c: stieltjes_cauchy_type(F2, phi_cauchy(2), c),
+    "stieltjes_cauchy_type quad": lambda c: stieltjes_cauchy_type(F2, phi_cauchy(2), quad=c),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [{}, {"stoltz_angle": 0.5}, None, "default", "swapped"], ids=repr
+)
+@pytest.mark.parametrize("entry", sorted(CONFIG_ENTRIES))
+def test_config_arguments_reject_anything_but_their_config(monkeypatch, entry, bad):
+    # "swapped" stands for the entry's other config type
+    if bad == "swapped":
+        bad = QuadratureConfig() if entry.endswith("cfg") else LimitConfig()
+    resolved = count_calls(monkeypatch, analysis, "_on_coords")
+    spot_checked = count_calls(monkeypatch, analysis, "_spot_check_bound")
+    with pytest.raises(InvalidArgumentError, match="Config is expected") as info:
+        CONFIG_ENTRIES[entry](bad)
+    assert info.type is InvalidArgumentError and resolved == spot_checked == []
 
 
 # --- declared dimensions -----------------------------------------------------------

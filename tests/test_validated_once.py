@@ -9,6 +9,7 @@ results must agree to the bit (repr-equal).
 """
 
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -263,12 +264,60 @@ def test_stoltz_limit_evaluates_each_distinct_ray_once(monkeypatch, name, altern
 
 def test_inversion_row_validates_no_point(monkeypatch):
     built = count_points(monkeypatch)
-    values = count_calls(monkeypatch, analysis, "alternating_boundary_sum")
+    values = count_calls(monkeypatch, analysis, "_boundary_sum")
     res = stieltjes_cauchy_type(
         catalogue("f2"), phi_cauchy(2), LimitConfig(y_sequence=(0.5,))
     )
     assert len(res.rows) == 1 and len(values) > 1000
     assert built == []
+
+
+def test_an_inversion_resolves_its_function_once(monkeypatch):
+    resolved = count_calls(monkeypatch, analysis, "_on_coords")
+    one_row = LimitConfig(y_sequence=(0.5,))
+    stieltjes_cauchy_type(catalogue("f2"), phi_cauchy(2), one_row)
+    assert len(resolved) == 1
+    stieltjes_classic(restrict_to_upper(catalogue("f4")), phi_cauchy(2), one_row)
+    assert len(resolved) == 2
+
+
+@pytest.mark.parametrize("alternates", [0, 3, 9])
+def test_each_stoltz_ray_extrapolates_its_last_values(monkeypatch, alternates):
+    """The base ray and every distinct alternate hand the tableau their
+    last order + 2 values, though the base is evaluated at all 10 radii."""
+    ladders = count_calls(monkeypatch, analysis, "_extrapolate")
+    s = stoltz_limit(catalogue("f2"), 1, (0.5 + 1.1j, -0.3 + 0.7j), base_alternates=alternates)
+    assert len(s.samples) == 10
+    assert len(ladders) == 1 + min(alternates, 4)
+    assert all(len(args[0]) == _EXTRAPOLATION_ORDER + 2 for args, _ in ladders)
+
+
+@pytest.mark.parametrize("radii", [(8.0,), (8.0, 16.0), (8.0, 16.0, 32.0)])
+def test_a_short_stoltz_ray_reaches_the_column_it_can(radii):
+    """Fewer than order + 2 radii: the last entry of the tableau's last
+    column, never converged."""
+    f2, base = catalogue("f2"), (0.5 + 1.1j, -0.3 + 0.7j)
+    s = stoltz_limit(f2, 2, base, LimitConfig(radius_sequence=radii), base_alternates=0)
+    top = richardson_tableau(s.samples, [1.0 / r for r in radii], _EXTRAPOLATION_ORDER)[-1]
+    assert repr(s.estimate) == repr(top[-1]) and not s.converged
+
+
+def test_limit_config_rays_are_not_fields():
+    cfg = LimitConfig(stoltz_angle=0.5, radius_sequence=(2.0, 4.0))
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "stoltz_angle", "radius_sequence", "y_sequence"
+    ]
+    assert repr(cfg) == (
+        f"LimitConfig(stoltz_angle=0.5, radius_sequence=(2.0, 4.0), "
+        f"y_sequence={DEFAULT_LIMITS.y_sequence!r})"
+    )
+    assert cfg == LimitConfig(stoltz_angle=0.5, radius_sequence=[2.0, 4.0])
+    phase = cmath.exp(0.5j)
+    assert cfg._upper_ray == (2.0 * phase, 4.0 * phase)
+    assert cfg._lower_ray == (2.0 * phase.conjugate(), 4.0 * phase.conjugate())
+    assert cfg._steps == (0.5, 0.25)
+    moved = dataclasses.replace(cfg, stoltz_angle=0.25)
+    assert moved._upper_ray == (2.0 * cmath.exp(0.25j), 4.0 * cmath.exp(0.25j))
 
 
 # --- `_at` is the public call ------------------------------------------------------

@@ -9,9 +9,10 @@ if defined on C+^n only; `_real` checks every real parameter (a finite
 real, not a bool, in range, or the caller's error class), `_height` the y
 of a Stieltjes boundary point, `_real_vector` a kernel's t and a boundary
 point's x (each entry by `_real`'s rule), `_integer` every integer
-parameter (an axis, an order, rho, a seed) and `_dimension` every
-declared dimension.  Points derived from a validated one are never
-built: `_on_coords` hands their coordinate tuples to the function's `_at`.
+parameter (an axis, an order, rho, a seed), `_dimension` every
+declared dimension and `_config` every config argument.  Points derived
+from a validated one are never built: `_on_coords` hands their coordinate
+tuples to the function's `_at`.
 
 The cut-plane splits into 2^n connected components indexed by the sign
 pattern of the imaginary parts.  The selective conjugation Psi_B(w, z)
@@ -138,6 +139,15 @@ def _upper(z, what: str, n: int | None = None) -> CutPlanePoint:
     if not z.is_upper():
         raise InvalidArgumentError(f"{what} is only defined on C+^n")
     return z
+
+
+def _config(cfg, cls: type) -> None:
+    """Raise `InvalidArgumentError` unless cfg is a `cls`.  The limit,
+    inversion and quadrature entries call this before any work: a dict of
+    the same fields would fail later, and has none of the rays a
+    `LimitConfig` computes."""
+    if not isinstance(cfg, cls):
+        raise InvalidArgumentError(f"a {cls.__name__} is expected, got {cfg!r}")
 
 
 def _dimension(n, what: str, error: type) -> None:

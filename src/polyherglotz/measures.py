@@ -553,7 +553,17 @@ def _has_density(mu: Measure) -> bool:
 
 
 def _weighted(f, c: float, products: list):
-    """t -> f(t) * (c + sum_k prod_l w_kl(t_l)), products of (l, w_kl._fn)."""
+    """t -> f(t) * (c + sum_k prod_l w_kl(t_l)), products of (l, w_kl._fn).
+
+    The weight is resolved here, once per integral.  Exactly two one-factor
+    products, as in F4's Nevanlinna measure, are written out as one lambda,
+    summed from c in term order: each skips the 1.0 * w(t_l) of the loop,
+    which gives the same bits, and a node loops over nothing.
+    """
+    if len(products) == 2 and all(len(factors) == 1 for factors in products):
+        ((l, w),), ((m, v),) = products
+        return lambda t: f(t) * (c + w(t[l]) + v(t[m]))
+
     def fw(t):
         d = c
         for factors in products:

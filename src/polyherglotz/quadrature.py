@@ -7,12 +7,19 @@ interval (-pi/2, pi/2).  Dimensions n >= 2 are handled by iterated
 near-axis spikes (e.g. poles approaching the real axis as y -> 0+).
 
 A hint is a (location, half_width) pair: a spike at s about h wide.
-`integrate_line` brackets it with breakpoints graded geometrically from
+A line brackets it with breakpoints graded geometrically from
 its width up, at s and at s -+ d for d = h, 4h, 16h, ... while d < 1.
 Gauss-Kronrod nodes never fall close to a subinterval endpoint, so a lone
 split at s can leave a narrow spike unsampled, while brackets finer than
 the spike only cost subintervals.  Grading starts no finer than 4^-20, so
 a singularity takes at most 20 scales for any width.
+
+Every line is one call of the private `_line`, which grades the brackets
+and calls `quad` on one closure in theta.  An outer level of
+`integrate_rn` is an `integrate_line` of the next level; the innermost
+level hands `_line` its own closure, which calls f directly on the
+coordinate tuple, so a quadrature node of f costs one library frame.  The
+public entries check their input; the innermost level checks nothing.
 
 Every inner level of the iterated quadrature runs at 1/100 of the caller's
 tolerances and only the outermost level at the caller's own: an inner error
@@ -38,7 +45,8 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .core import _real
+from .core import _config, _dimension, _real
+from .errors import InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -81,8 +89,13 @@ def integrate_line(
     `complex_func` says whether f is complex; when it is None, f's value at
     the origin decides.  A real f takes one `quad` pass and gives a float,
     a complex f two passes, one per part.  An f taken as real that returns
-    a complex value raises TypeError.
+    a complex value raises TypeError.  A cfg that is not a
+    `QuadratureConfig`, or a `complex_func` that is not None or a bool,
+    raises InvalidArgumentError before f is called.
     """
+    _config(cfg, QuadratureConfig)
+    if complex_func is not None and not isinstance(complex_func, bool):
+        raise InvalidArgumentError(f"complex_func must be None or a bool, got {complex_func!r}")
     if complex_func is None:
         complex_func = _is_complex(f(0.0))
 
@@ -90,6 +103,13 @@ def integrate_line(
         t = math.tan(theta)
         return f(t) * (1.0 + t * t)
 
+    return _line(integrand, cfg, singularities, complex_func)
+
+
+def _line(integrand: Callable[[float], complex], cfg, singularities, complex_func: bool):
+    """The one QUADPACK call behind every line: `integrand` of theta over
+    (-pi/2, pi/2), with each singularity's graded brackets as breakpoints.
+    Checks nothing; `integrate_line` and `integrate_rn` checked their input."""
     pts = set()
     for s, h in singularities:
         pts.add(math.atan(s))
@@ -143,7 +163,11 @@ def integrate_rn(
     reported error is the outermost quadrature estimate only.  Whether f is
     complex is read once, from its value at the origin, and passed to every
     line: a real f gives a float and takes one `quad` pass per line.
+    n must be an int in 1..MAX_DIMENSION and cfg a `QuadratureConfig`, or
+    InvalidArgumentError is raised before f is called.
     """
+    _dimension(n, "n", InvalidArgumentError)
+    _config(cfg, QuadratureConfig)
     complex_func = _is_complex(f((0.0,) * n))
     inner = replace(
         cfg,
@@ -154,10 +178,14 @@ def integrate_rn(
     def level(prefix: tuple):
         axis = len(prefix)
         sing = hints(prefix) if hints else ()
-        if axis == n - 1:
-            g = lambda t: f(prefix + (t,))
-        else:
-            g = lambda t: level(prefix + (t,))[0]
-        return integrate_line(g, inner if axis else cfg, sing, complex_func)
+        tol = inner if axis else cfg
+        if axis < n - 1:
+            return integrate_line(lambda t: level(prefix + (t,))[0], tol, sing, complex_func)
+
+        def integrand(theta):
+            t = math.tan(theta)
+            return f(prefix + (t,)) * (1.0 + t * t)
+
+        return _line(integrand, tol, sing, complex_func)
 
     return level(())

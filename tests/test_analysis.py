@@ -326,6 +326,36 @@ def test_stoltz_result_shape():
     assert s.config == {"angle": math.pi / 4, "radii": [4.0, 8.0, 16.0]}
 
 
+def test_stoltz_result_reads_its_samples_back_bit_for_bit():
+    cfg = LimitConfig()
+    samples = (complex(-0.0, 0.0), complex(1e-310, -0.0), complex(math.inf, -math.inf),
+               complex(math.nan, 1.0), (0.1 + 0.2j) / 3)
+    s = analysis.StoltzResult(1j, False, "lower", 2, 0.5, samples, cfg)
+    assert type(s.samples) is tuple and repr(s.samples) == repr(samples)
+    assert repr(s) == (f"StoltzResult(estimate=1j, converged=False, direction='lower', axis=2, "
+                       f"base_spread=0.5, samples={samples!r}, limits={cfg!r})")
+    t = stoltz_limit(catalogue("f2"), 1, point(0.5 + 1.1j, -0.3 + 0.7j))
+    assert t == analysis.StoltzResult(t.estimate, t.converged, t.direction, t.axis,
+                                      t.base_spread, t.samples, t.limits)
+    assert t != s and t.__hash__ is None
+
+
+def test_stoltz_results_keep_no_boxed_samples():
+    # a stream of kept limits holds a packed array per result, not ten complex objects
+    import tracemalloc
+
+    cfg = LimitConfig()
+    tracemalloc.start()
+    try:
+        kept = [analysis.StoltzResult(0j, True, "upper", 1, 0.0,
+                                      tuple(complex(k, i) for i in range(10)), cfg)
+                for k in range(1000)]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 1000 and size < 350 * 1000
+
+
 def test_stoltz_validation():
     base = point(1j, 1j)
     with pytest.raises(InvalidArgumentError):

@@ -17,7 +17,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyherglotz import CurvePushforward, InvalidArgumentError, nevanlinna_residual, point
 from polyherglotz.core import MAX_DIMENSION
@@ -200,15 +200,51 @@ def test_nevanlinna_residual_is_bit_identical(case):
     assert_same_or_refused(outcome(nevanlinna_residual, mu, point(*z)), outcome(residual_v0, mu, z))
 
 
+def relative_precision(xs) -> float:
+    """The relative precision of the least precise nonzero real among xs:
+    about 1.1e-16 for a normal float, and ulp/|x| for a subnormal one,
+    which carries only |x|/5e-324 units."""
+    return max([math.ulp(x) / abs(x) for x in xs if x != 0.0], default=0.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(cases(), st.floats(-320.0, -200.0))
-def test_tiny_slopes_raise_or_vanish(case, log_alpha):
-    """An axis with |alpha| <= 1e-200 makes the constant overflow: the
-    residual raises InvalidArgumentError or is 0 (in one variable, or from
-    a zero factor), never NaN or inf."""
+# z_1 = z_2 with a subnormal real part and two fixed axes: the residual is
+# the finite 2.97e-109, which scales as Re z_1 / alpha_1
+@example(
+    (
+        CurvePushforward((1.0, 0.0, 0.0), (0.0,) * 3, constant_density(1.7)),
+        [2.225073858507203e-309 + 1j, 2.225073858507203e-309 + 1j, 1 + 1j],
+    ),
+    -200.0,
+)
+def test_tiny_slopes_raise_vanish_or_are_finite(case, log_alpha):
+    """An axis with |alpha| <= 1e-200 makes the constant overflow or nearly
+    so: the residual raises InvalidArgumentError, or is 0, or is finite and
+    then, unless the weight is Gaussian, agrees with the partial-fraction
+    oracle of `test_curve_exact`.  It is never NaN or inf.  The oracle
+    takes the double-precision inputs as exact, so a subnormal coordinate
+    or offset, whose own precision is coarser, widens the tolerance by that
+    precision."""
     mu, z = case
     mu = CurvePushforward((10.0**log_alpha,) + mu.alpha[1:], mu.beta, mu.weight, mu.scale)
-    assert outcome(nevanlinna_residual, mu, point(*z)) in ("InvalidArgumentError", "0j")
+    got = outcome(nevanlinna_residual, mu, point(*z))
+    assert got != "non-finite"
+    if got in ("InvalidArgumentError", "0j"):
+        return
+    if mu.weight.form == "gaussian":
+        # The oracle's Gaussian branch, exp(-zeta^2) erfc(-i zeta), breaks
+        # down at nodes this large (about 1/|alpha| >= 1e200): it returned
+        # values of order 1e+1125436476 where the engine returned 0
+        # (CHANGES.md, FOUND on the mpmath oracle).  A finite value is all
+        # that can be checked here.
+        return
+    from test_curve_exact import REL_TOL, oracle_residual
+
+    value = nevanlinna_residual(mu, point(*z))
+    want, scale = oracle_residual(mu, z)
+    precision = relative_precision([c.real for c in z] + list(mu.beta))
+    assert abs(value - complex(want)) <= (REL_TOL + 8 * precision) * scale, (value, complex(want))
 
 
 TINY_SLOPE_POINT = (1j, 2j, 1 + 1j)

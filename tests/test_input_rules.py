@@ -19,10 +19,14 @@ variant.  A curve whose slope is too small for double precision raises
 `InvalidArgumentError`, never NaN, in both curve engines, unless a zero
 factor makes the product 0.  The limit and inversion entries take their
 configs as `LimitConfig` and `QuadratureConfig` instances, or raise
-`InvalidArgumentError` before any work.
+`InvalidArgumentError` before any work, and so do the two public
+quadratures, `integrate_line` and `integrate_rn`: integrate_rn's n follows
+the dimension rule and integrate_line's `complex_func` is None or a bool,
+checked before the integrand is called.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +81,7 @@ from polyherglotz.analysis import _LinearlyShifted, alternating_boundary_sum
 from polyherglotz.cli import main
 from polyherglotz.core import MAX_DIMENSION
 from polyherglotz.measures import _curve_pair_integral, measure_to_dict, pair_integral
+from polyherglotz.quadrature import integrate_line, integrate_rn
 from conftest import count_calls
 
 NAN, INF = float("nan"), float("inf")
@@ -263,6 +268,47 @@ def test_declared_dimensions_follow_the_dimension_rule(make, n):
 def test_cli_rejects_a_phi_dimension_out_of_range(phi, capsys):
     assert main(["invert", "--fn", "cauchy:lebesgue1", "--phi", phi]) == 2
     assert f"int in 1..{MAX_DIMENSION}" in capsys.readouterr().err
+
+
+# --- quadrature entries -------------------------------------------------------------
+
+#: The two public quadratures, each called with a recording integrand that
+#: decays like 1/(1+t^2) per axis, and its keyword arguments.
+QUADRATURE_ENTRIES = {
+    "integrate_line": lambda seen, **kw: integrate_line(
+        lambda t: seen.append(t) or 1.0 / (1.0 + t * t), **kw
+    ),
+    "integrate_rn": lambda seen, n=2, **kw: integrate_rn(
+        lambda x: seen.append(x) or 1.0 / math.prod(1.0 + t * t for t in x), n, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("n", BAD_DIMENSIONS + [-1], ids=repr)
+def test_integrate_rn_takes_n_by_the_dimension_rule(n):
+    seen = []
+    with pytest.raises(InvalidArgumentError, match=f"int in 1..{MAX_DIMENSION}") as info:
+        QUADRATURE_ENTRIES["integrate_rn"](seen, n=n)
+    assert info.type is InvalidArgumentError and seen == []
+
+
+@pytest.mark.parametrize(
+    "cfg", [{}, {"abs_tol": 1e-8, "rel_tol": 1e-7}, None, "default", LimitConfig()], ids=repr
+)
+@pytest.mark.parametrize("entry", sorted(QUADRATURE_ENTRIES))
+def test_quadrature_entries_take_a_quadrature_config(entry, cfg):
+    seen = []
+    with pytest.raises(InvalidArgumentError, match="QuadratureConfig is expected") as info:
+        QUADRATURE_ENTRIES[entry](seen, cfg=cfg)
+    assert info.type is InvalidArgumentError and seen == []
+
+
+@pytest.mark.parametrize("flag", ["no", "", 0, 1, 1.0, np.bool_(True)], ids=repr)
+def test_integrate_line_takes_complex_func_as_none_or_a_bool(flag):
+    seen = []
+    with pytest.raises(InvalidArgumentError, match="complex_func must be None or a bool"):
+        QUADRATURE_ENTRIES["integrate_line"](seen, complex_func=flag)
+    assert seen == []
 
 
 # --- integer parameters ------------------------------------------------------------

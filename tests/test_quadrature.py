@@ -70,8 +70,9 @@ def test_integrate_rn_hints_per_axis():
 
 
 def test_integrate_rn_inner_levels_run_tighter(monkeypatch):
-    # only the outermost axis runs at the caller's tolerances
-    calls = count_calls(monkeypatch, quadrature, "integrate_line")
+    # only the outermost axis runs at the caller's tolerances; `_line` is
+    # the per-line body that every axis reaches
+    calls = count_calls(monkeypatch, quadrature, "_line")
     cfg = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-5)
     val, _ = integrate_rn(lambda x: 1.0 / ((1 + x[0] ** 2) * (1 + x[1] ** 2)), 2, cfg)
     assert abs(val - PI * PI) < 1e-5

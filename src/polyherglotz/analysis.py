@@ -467,6 +467,8 @@ class CharacterizeResult:
 _CHARACTERIZE_BASE = 0.5 + 1.1j
 #: Linear growth below this is 0; directions or bases that differ by more fail.
 _D_TOL = 1e-5
+#: A verdict of several parts is the first of theirs in this order.
+_PRECEDENCE = ("inconclusive", "fail", "pass").index
 
 
 def characterize(
@@ -476,9 +478,9 @@ def characterize(
 
     Extracts the linear growth d_j from both Stoltz directions (gating
     step), then checks sampled positivity on f and symmetry plus variable
-    non-dependence on f - sum d_j z_j, each at its default tolerance.  Any
-    inconclusive sub-check makes the overall verdict inconclusive, never
-    pass.
+    non-dependence on f - sum d_j z_j, each at its default tolerance, once
+    every axis passes.  The axes, then the sub-checks, combine by one rule
+    (`_PRECEDENCE`): any inconclusive part makes the verdict inconclusive.
     """
     _integer(seed, "seed", 0)
     _config(cfg, LimitConfig)
@@ -486,48 +488,40 @@ def characterize(
     base = CutPlanePoint((_CHARACTERIZE_BASE,) * n)
     d = []
     limit_info = {}
-    gate_fail = False
-    gate_inconclusive = False
+    gate = []
     for j in range(1, n + 1):
         up = stoltz_limit(f, j, base, cfg, "upper")
         low = stoltz_limit(f, j, base, cfg, "lower")
+        spread = max(up.base_spread, low.base_spread)
+        converged = up.converged and low.converged
         limit_info[f"axis_{j}"] = {
             "upper": [up.estimate.real, up.estimate.imag],
             "lower": [low.estimate.real, low.estimate.imag],
-            "base_spread": max(up.base_spread, low.base_spread),
-            "converged": up.converged and low.converged,
+            "base_spread": spread,
+            "converged": converged,
         }
-        if not (up.converged and low.converged):
-            gate_inconclusive = True
-            d.append(float("nan"))
-            continue
-        mismatch = abs(up.estimate - low.estimate)
-        spread = max(up.base_spread, low.base_spread)
         dj = 0.5 * (up.estimate + low.estimate)
-        if mismatch > _D_TOL or spread > _D_TOL or abs(dj.imag) > _D_TOL:
-            gate_fail = True
+        if not converged:
+            gate.append("inconclusive")
+            d.append(float("nan"))
+        elif (abs(up.estimate - low.estimate) > _D_TOL or spread > _D_TOL
+              or abs(dj.imag) > _D_TOL or dj.real < -_D_TOL):
+            gate.append("fail")
             d.append(dj.real)
-            continue
-        d.append(0.0 if abs(dj.real) < _D_TOL else dj.real)
-    if gate_inconclusive:
-        return CharacterizeResult("inconclusive", tuple(d), {"limits": limit_info})
-    if gate_fail or any(dj < -_D_TOL for dj in d):
-        return CharacterizeResult("fail", tuple(d), {"limits": limit_info})
-
-    shifted = f if all(dj == 0.0 for dj in d) else _LinearlyShifted(f, d)
-    reports = {
-        "limits": limit_info,
-        "positivity": positivity_check(f, seed=seed),
-        "symmetry": symmetry_check(shifted, seed=seed),
-        "nondependence": nondependence_test(shifted),
-    }
-    sub = [reports["positivity"], reports["symmetry"], reports["nondependence"]]
-    if any(r.verdict == "inconclusive" for r in sub):
-        verdict = "inconclusive"
-    elif any(r.verdict == "fail" for r in sub):
-        verdict = "fail"
-    else:
-        verdict = "pass"
+        else:
+            gate.append("pass")
+            d.append(0.0 if abs(dj.real) < _D_TOL else dj.real)
+    reports = {"limits": limit_info}
+    verdict = min(gate, key=_PRECEDENCE)
+    if verdict == "pass":
+        shifted = f if all(dj == 0.0 for dj in d) else _LinearlyShifted(f, d)
+        checks = {
+            "positivity": positivity_check(f, seed=seed),
+            "symmetry": symmetry_check(shifted, seed=seed),
+            "nondependence": nondependence_test(shifted),
+        }
+        reports.update(checks)
+        verdict = min((r.verdict for r in checks.values()), key=_PRECEDENCE)
     return CharacterizeResult(verdict, tuple(d), reports)
 
 

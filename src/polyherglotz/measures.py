@@ -19,10 +19,13 @@ Against a curve, a product of pole pairs is the weight over a polynomial
 in the curve parameter, and `_curve_pair_integral` integrates it exactly
 as a divided difference over the poles (`DensityDescriptor._line_integral`);
 both curve engines read one substitution (`_curve_substitution`).
-The Nevanlinna residual takes every term that way, so it runs no
-quadrature for any measure of the family.  `pair_integral`'s curve branch
-is still one line quadrature, the independent oracle of the exact one; its
-two `quad` passes share the integrand's node values.
+The Nevanlinna residual and the growth integral take every curve term
+that way and every other term by `_pair_integral`'s exact branches
+(`_residual`), so neither runs a quadrature for any measure of the family.
+`pair_integral`'s curve branch is still one line quadrature, the oracle of
+the exact one; in the library only a Cauchy-type function's evaluation
+against a curve runs it (`functions`).  Its two `quad` passes share the
+integrand's node values.
 `boundary_hints` tells Stieltjes inversion where a measure's singular part
 puts spikes on each integration axis at height y, and how wide they are.
 scipy's Faddeeva function is imported by the first Gaussian density that
@@ -772,10 +775,11 @@ class GrowthResult:
 def check_growth(mu: Measure) -> GrowthResult:
     """Evaluate the growth integral of prod(1+t_l^2)^-1 against mu.
 
-    1/(1+t^2) is the pole pair (i, -i).
+    1/(1+t^2) is the pole pair (i, -i); one per axis takes the residual's
+    exact dispatch (`_residual`), so no measure runs a quadrature.
     """
     _measure(mu)
-    val, _ = _pair_integral(mu, [(1j, -1j)] * mu.dimension)
+    val = _residual(mu, [[(1j, -1j)] * mu.dimension])
     if not math.isfinite(abs(val)):
         return GrowthResult(False, math.inf)
     return GrowthResult(True, val.real)
@@ -849,7 +853,7 @@ def _rho_products(coords: tuple) -> list:
 
 
 def _residual(mu: Measure, products: list) -> complex:
-    """sum over `products` of the integral of each pole-pair product dmu."""
+    """sum over `products` of the integral of each pole-pair product dmu, exactly."""
     if isinstance(mu, MeasureSum):
         return sum((_residual(term, products) for term in mu.terms), 0j)
     if isinstance(mu, CurvePushforward):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -396,6 +397,66 @@ def test_characterize_matrix_agreement():
     # a function is a symmetric extension iff it clears all three conditions
     for fid in ("f0", "f1", "f3", "f4", "f5", "f6"):
         assert characterize(catalogue(fid)).verdict == "fail", fid
+
+
+def one_variable(name, upper, lower=None):
+    """A one-variable closed form with these branches on C+ and C-."""
+    return ClosedFormFunction(name, 1, {(1,): upper, (-1,): lower or upper})
+
+
+#: Each Stoltz gate outcome of one-variable functions: (function, verdict,
+#: d, the limits record's axis_1 upper and lower estimates, converged).  The
+#: real part of log z grows without limit, so its estimate is left open.
+GATE_CASES = {
+    "z log z diverges": (
+        one_variable("zlogz", lambda z: z * cmath.log(z)),
+        "inconclusive", (math.nan,), [None, PI / 4], [None, -PI / 4], False,
+    ),
+    "upper differs from lower": (
+        one_variable("z|0", lambda z: z, lambda z: 0j),
+        "fail", (0.5,), [1.0, 0.0], [0.0, 0.0], True,
+    ),
+    "imaginary growth": (
+        one_variable("iz", lambda z: 1j * z), "fail", (0.0,), [0.0, 1.0], [0.0, 1.0], True,
+    ),
+    "negative growth": (
+        one_variable("-z", lambda z: -z), "fail", (-1.0,), [-1.0, 0.0], [-1.0, 0.0], True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_characterize_gate_outcomes(case):
+    f, verdict, d, upper, lower, converged = GATE_CASES[case]
+    r = characterize(f)
+    assert r.verdict == verdict
+    assert r.d == pytest.approx(d, nan_ok=True)
+    assert list(r.reports) == ["limits"]  # a gate that does not pass runs no sub-check
+    axis = r.reports["limits"]["axis_1"]
+    left_open = axis["upper"][0]  # both directions must agree on it
+    for got, want in ((axis["upper"], upper), (axis["lower"], lower)):
+        assert got == pytest.approx([left_open if w is None else w for w in want], abs=1e-9)
+    assert axis["base_spread"] == 0.0
+    assert axis["converged"] is converged
+
+
+def test_characterize_fails_on_the_base_spread_alone():
+    # z1 * (2 + 1/(1 + |z2|)): axis 1's limit depends on z2, axis 2's is 0
+    def branch(z1, z2):
+        return z1 * (2 + 1 / (1 + abs(z2)))
+
+    f = ClosedFormFunction("spread", 2, {s: branch for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))})
+    r = characterize(f)
+    assert r.verdict == "fail"
+    assert r.d == (pytest.approx(2.452836081216211, abs=1e-9), 0.0)
+    assert list(r.reports) == ["limits"]
+    axis1, axis2 = r.reports["limits"]["axis_1"], r.reports["limits"]["axis_2"]
+    assert axis1["upper"] == pytest.approx(axis1["lower"], abs=1e-9)
+    assert axis1["upper"][1] == pytest.approx(0.0, abs=1e-9)
+    assert axis1["base_spread"] == pytest.approx(0.177, abs=1e-3)
+    assert axis1["converged"] and axis2["converged"]
+    assert max(map(abs, axis2["upper"] + axis2["lower"])) < 1e-9
+    assert axis2["base_spread"] < 1e-9
 
 
 # --- test functions and inversion ---------------------------------------------

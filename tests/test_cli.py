@@ -250,6 +250,32 @@ def test_invert_applies_the_quadrature_section_to_the_inversion_only(
     assert line_cfgs and all(cfg == quadrature.DEFAULT_CONFIG for cfg in line_cfgs)
 
 
+@pytest.mark.parametrize("fid", ["5", "[\"f2\"]", "{}"])
+def test_eval_rejects_a_catalogue_id_that_is_not_a_string(fid, capsys):
+    fn = '{"type": "catalogue", "id": %s}' % fid
+    assert main(["eval", "--fn", fn, "--point", "1i"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: unknown catalogue id")
+    assert "Traceback" not in err
+
+
+def test_invert_classic_mode(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "limits": {"y_sequence": [2.0**-k for k in range(1, 7)]},
+        "quadrature": {"abs_tol": 1e-6, "rel_tol": 1e-6},
+    }))
+    out = tmp_path / "classic.csv"
+    code = main([
+        "invert", "--fn", "catalogue:f4-upper", "--phi", "cauchy2d", "--mode", "classic",
+        "--tol", "1e-3", "--config", str(config), "--out", str(out),
+    ])
+    assert code == 0
+    est = float(capsys.readouterr().out.strip().splitlines()[-1])
+    assert abs(est - 5.5 * PI**2) < 1e-4
+    assert len(out.read_text().strip().splitlines()) == 7
+
+
 def test_characterize_takes_no_tol(capsys):
     # its sub-checks run at their own default tolerances, so a --tol is not read
     assert main(["check", "characterize", "--fn", "catalogue:f7", "--tol", "1e-3"]) == 2

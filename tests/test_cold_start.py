@@ -4,12 +4,13 @@ density first needs it.
 One subprocess runs SCRIPT with ``-W error``.  ``import polyherglotz`` and
 every exact path after it (a closed form, a Stoltz limit, the
 characterization of f7, lambda^2's Cauchy transform, a Nevanlinna residual,
-a growth check, the CLI's eval and reproduce-tables) must leave scipy
-unloaded.  The first quadrature then loads it.  That quadrature asks for a
-tolerance QUADPACK cannot reach, so it warns, and ``-W error`` would turn
-the warning into an exception if `quadrature.quad`'s filter missed the
-very first call.  A Gaussian density's transform, the process's first use
-of the Faddeeva function, must give the value this test process computes.
+growth checks, building functions of curve measures, the CLI's eval and
+reproduce-tables) must leave scipy unloaded.  The first quadrature then
+loads it.  That quadrature asks for a tolerance QUADPACK cannot reach, so
+it warns, and ``-W error`` would turn the warning into an exception if
+`quadrature.quad`'s filter missed the very first call.  A Gaussian
+density's transform, the process's first use of the Faddeeva function,
+must give the value this test process computes.
 """
 
 import json
@@ -48,6 +49,12 @@ P.nevanlinna_residual(P.MU2, (2j, 1 + 1j))
 note("nevanlinna_residual MU2")
 P.check_growth(P.F4_NEVANLINNA_MEASURE)
 note("check_growth F4 Nevanlinna")
+P.CauchyTypeFunction(P.MU2)
+note("CauchyTypeFunction MU2")
+P.HerglotzFunction(P.HerglotzTriple(0.0, (0.0, 0.0), P.F4_DEFINING_MEASURE))
+note("HerglotzFunction F4 defining")
+P.check_growth(P.MU2)
+note("check_growth MU2")
 with contextlib.redirect_stdout(io.StringIO()):
     exits["eval"] = cli.main(["eval", "--fn", "catalogue:f2", "--point", "4i,4i", "--out", out + "/eval.json"])
     note("cli eval")
@@ -80,6 +87,9 @@ EXACT_STEPS = [
     "lambda2 evaluate",
     "nevanlinna_residual MU2",
     "check_growth F4 Nevanlinna",
+    "CauchyTypeFunction MU2",
+    "HerglotzFunction F4 defining",
+    "check_growth MU2",
     "cli eval",
     "cli reproduce-tables",
 ]

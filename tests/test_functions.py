@@ -49,6 +49,27 @@ def test_catalogue_unknown_id():
         catalogue("f8")
 
 
+@pytest.mark.parametrize("fid", [5, ["f2"], None, ("f2",)])
+def test_catalogue_id_must_be_a_string(fid):
+    with pytest.raises(UnknownCatalogueIdError):
+        catalogue(fid)
+    with pytest.raises(UnknownCatalogueIdError):
+        function_from_dict({"type": "catalogue", "id": fid})
+
+
+@pytest.mark.parametrize(
+    "obj, where",
+    [
+        ({"type": "catalogue", "id": "f2", "extra": 1}, "catalogue"),
+        ({"type": "cauchy", "measure": {}, "extra": 1}, "cauchy"),
+        ({"type": "herglotz", "a": 0, "b": [], "measure": {}, "extra": 1}, "herglotz"),
+    ],
+)
+def test_unknown_descriptor_fields_are_named(obj, where):
+    with pytest.raises(InvalidArgumentError, match=rf"unknown fields \['extra'\] in {where}"):
+        function_from_dict(obj)
+
+
 def test_catalogue_dimension_check():
     with pytest.raises(InvalidArgumentError):
         catalogue("f7")(point(1j))

@@ -63,6 +63,29 @@ def test_atomic_validation():
     assert Atomic((), (), dim=2).dimension == 2
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DensityDescriptor("triangular", (1.0,)), "unknown density form"),
+        (lambda: DensityDescriptor("gaussian", (0.0,)), "a gaussian density has 2"),
+        (lambda: DensityDescriptor("cauchy_weight", (1.0,)), "a cauchy_weight density has 0"),
+        (lambda: Atomic(((0.0,), (0.0, 1.0)), (1.0, 1.0)), "inconsistent dimensions"),
+        (lambda: Atomic(((0.0, 1.0),), (1.0,), dim=3), "dim does not match"),
+        (lambda: MeasureSum(()), "needs >= 1 term"),
+    ],
+    ids=["unknown-form", "gaussian-one-param", "cauchy-weight-one-param",
+         "atoms-mixed-dimension", "atoms-dim-mismatch", "empty-sum"],
+)
+def test_structural_rules_reject(build, message):
+    with pytest.raises(InvalidMeasureError, match=message):
+        build()
+
+
+def test_growth_overflowing_double_precision_is_infinite():
+    g = check_growth(Atomic(((0.0,), (0.0,)), (1.7e308, 1.7e308)))
+    assert g == measures.GrowthResult(False, math.inf)
+
+
 def test_lebesgue_1d_cauchy_integral():
     # integral of (1+t^2)^-1 over R is pi
     val, err = integrate(LebesgueScaled(1.0, 1), cauchy_nd)
@@ -399,6 +422,12 @@ def test_measure_json_roundtrip():
     ]
     for mu in examples:
         assert measure_from_json(measure_to_json(mu)) == mu
+
+
+def test_rational_table_density_json_roundtrip():
+    mu = ProductDensity((rational_density("cauchy_squared"), constant_density(2.0)))
+    assert measure_to_dict(mu)["factors"][0] == {"form": "rational_table", "name": "cauchy_squared"}
+    assert measure_from_json(measure_to_json(mu)) == mu
 
 
 def test_measure_json_exact_shape():

@@ -4,7 +4,12 @@ the symmetric-extension characterization verdict, and Stieltjes inversion
 in both the classical and the alternating (full cut-plane) form.
 
 All checks are sampled: universal statements are reported over documented
-deterministic grids plus seeded random points, never "proved".
+deterministic grids plus seeded random points, never "proved": symmetry at
+50 seeded points per component, positivity on the 35-value axis grid to
+the power n (6 values for n > 2) plus 200 seeded points of C+^n, and
+non-dependence at 3 lower bases times 5 upper probes per mixed signature.
+Each check resolves its function on coordinate tuples once, evaluates
+every sample as a tuple and builds a point only for a witness it returns.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .core import (
     MIN_IMAG,
     CutPlanePoint,
     _config,
+    _Function,
     _dimension,
     _height,
     _integer,
@@ -155,38 +161,40 @@ def full_symmetry_sum(f, z: CutPlanePoint) -> complex:
 def symmetry_residual(f, z: CutPlanePoint) -> float:
     """|f(z) - symmetry sum|; zero for symmetric extensions with b = 0."""
     z = _point(z)
-    return abs(complex(f(z)) - full_symmetry_sum(f, z))
+    return _symmetry_residual(_on_coords(f, z.n), z.coords)
 
 
-def _random_point(rng, signs) -> CutPlanePoint:
-    coords = tuple(
-        complex(
-            rng.uniform(-3.0, 3.0),
-            s * math.exp(rng.uniform(math.log(0.1), math.log(3.0))),
-        )
+def _symmetry_residual(g, zs: tuple) -> float:
+    """`symmetry_residual` unchecked, for f on coordinate tuples."""
+    return abs(complex(g(zs)) - symmetry_sum(g, zs))
+
+
+def _random_point(rng, signs) -> tuple:
+    return tuple(
+        complex(rng.uniform(-3.0, 3.0), s * math.exp(rng.uniform(math.log(0.1), math.log(3.0))))
         for s in signs
     )
-    return CutPlanePoint(coords)
 
 
 def _sampled_report(samples, tol: float, config: dict) -> CheckReport:
-    """The verdict of a sampled check from its (point, residual) pairs.
+    """The verdict of a sampled check from its (coordinates, residual) pairs.
 
     The check passes when no residual exceeds `tol`; its witnesses are up
-    to five samples over `tol`, worst first (ties in sampling order).  A
-    NaN residual counts as over `tol` and as worse than any number, so it
-    fails the check and is reported as the maximum.
+    to five samples over `tol`, worst first (ties in sampling order), each
+    made a point here.  A NaN residual counts as over `tol` and as worse
+    than any number, so it fails the check and is reported as the maximum.
     """
     _real(tol, "tolerance", 0, open_lo=True)
     rank = lambda r: (math.isnan(r), r)
     worst = 0.0
     over = []
-    for z, r in samples:
+    for zs, r in samples:
         worst = max(worst, r, key=rank)
         if not r <= tol:
-            over.append((z, r))
+            over.append((zs, r))
     over.sort(key=lambda w: rank(w[1]), reverse=True)
-    return CheckReport("fail" if over else "pass", worst, tol, over[:5], config)
+    witnesses = [(_point(zs), r) for zs, r in over[:5]]
+    return CheckReport("fail" if over else "pass", worst, tol, witnesses, config)
 
 
 _POINTS_PER_COMPONENT = 50
@@ -197,13 +205,14 @@ def symmetry_check(f, tol: float = 1e-9, seed: int = DEFAULT_SEED) -> CheckRepor
     component."""
     _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
+    g = _on_coords(f, f.dimension)
     points = (
         _random_point(rng, signs)
         for signs in itertools.product((1, -1), repeat=f.dimension)
         for _ in range(_POINTS_PER_COMPONENT)
     )
     return _sampled_report(
-        ((z, symmetry_residual(f, z)) for z in points),
+        ((zs, _symmetry_residual(g, zs)) for zs in points),
         tol,
         {"points_per_component": _POINTS_PER_COMPONENT, "seed": seed},
     )
@@ -227,6 +236,7 @@ def nondependence_test(f, tol: float = 1e-9) -> CheckReport:
 
 def _nondependence_samples(f, probes: int):
     n = f.dimension
+    g = _on_coords(f, n)
     for signs in itertools.product((1, -1), repeat=n):
         upper = [j for j, s in enumerate(signs) if s == 1]
         if not 0 < len(upper) < n:
@@ -236,16 +246,16 @@ def _nondependence_samples(f, probes: int):
             for p in range(probes):
                 for j in upper:
                     coords[j] = _UPPER_PROBES[(p + j) % len(_UPPER_PROBES)]
-                pt = CutPlanePoint(tuple(coords))
-                value = complex(f(pt))
+                zs = tuple(coords)
+                value = complex(g(zs))
                 if p:
-                    yield pt, abs(value - first)
+                    yield zs, abs(value - first)
                 else:
                     first = value
 
 
 def _probe_points(n: int, samples: int, seed: int):
-    """A deterministic C+^n grid, then `samples` seeded log-uniform points."""
+    """A fixed C+^n grid, then `samples` seeded log-uniform points, as tuples."""
     if n <= 2:
         res = (-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 4.0)
         ims = (0.1, 0.5, 1.0, 2.0, 4.0)
@@ -253,15 +263,13 @@ def _probe_points(n: int, samples: int, seed: int):
         res = (-2.0, 0.0, 2.0)
         ims = (0.1, 1.0)
     axis = [complex(x, y) for x in res for y in ims]
-    for coords in itertools.product(axis, repeat=n):
-        yield CutPlanePoint(coords)
+    yield from itertools.product(axis, repeat=n)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        coords = tuple(
+        yield tuple(
             complex(rng.uniform(-6, 6), math.exp(rng.uniform(math.log(0.05), math.log(10))))
             for _ in range(n)
         )
-        yield CutPlanePoint(coords)
 
 
 _POSITIVITY_SAMPLES = 200
@@ -277,9 +285,10 @@ def positivity_check(f, tol: float = 1e-12, seed: int = DEFAULT_SEED) -> CheckRe
     residual is max(0, -Im f), so roundoff below `tol` passes, and NaN where
     Im f is NaN, so that it fails."""
     _integer(seed, "seed", 0)
+    g = _on_coords(f, f.dimension)
     points = _probe_points(f.dimension, _POSITIVITY_SAMPLES, seed)
     return _sampled_report(
-        ((p, _deficit(complex(f(p)).imag)) for p in points),
+        ((zs, _deficit(complex(g(zs)).imag)) for zs in points),
         tol,
         {"samples": _POSITIVITY_SAMPLES, "seed": seed},
     )
@@ -434,7 +443,7 @@ def stoltz_limit(
 # ---------------------------------------------------------------------------
 # Characterization verdict
 
-class _LinearlyShifted:
+class _LinearlyShifted(_Function):
     """f(z) - sum d_j z_j, used for the weakened growth variant."""
 
     def __init__(self, f, d):
@@ -442,9 +451,6 @@ class _LinearlyShifted:
         self.d = tuple(d)
         self.dimension = f.dimension
         self._inner_at = _on_coords(f, f.dimension)
-
-    def __call__(self, z):
-        return self._at(_point(z, self.dimension).coords)
 
     def _at(self, zs: tuple) -> complex:
         return self._inner_at(zs) - sum(dj * c for dj, c in zip(self.d, zs))
@@ -485,7 +491,7 @@ def characterize(
     _integer(seed, "seed", 0)
     _config(cfg, LimitConfig)
     n = f.dimension
-    base = CutPlanePoint((_CHARACTERIZE_BASE,) * n)
+    base = _point((_CHARACTERIZE_BASE,) * n)
     d = []
     limit_info = {}
     gate = []

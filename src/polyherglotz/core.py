@@ -10,9 +10,11 @@ real, not a bool, in range, or the caller's error class), `_height` the y
 of a Stieltjes boundary point, `_real_vector` a kernel's t and a boundary
 point's x (each entry by `_real`'s rule), `_integer` every integer
 parameter (an axis, an order, rho, a seed), `_dimension` every
-declared dimension and `_config` every config argument.  Points derived
-from a validated one are never built: `_on_coords` hands their coordinate
-tuples to the function's `_at`.
+declared dimension and `_config` every config argument.  `_Function`, the
+calling convention of every function family, checks a point once and
+hands its coordinates to the family's `_at`.  Points the library makes
+itself are never built: `_on_coords` hands their tuples to `_at`, and a
+sampled check builds a point only for a witness that its report returns.
 
 The cut-plane splits into 2^n connected components indexed by the sign
 pattern of the imaginary parts.  The selective conjugation Psi_B(w, z)
@@ -153,6 +155,18 @@ def _config(cfg, cls: type) -> None:
 def _dimension(n, what: str, error: type) -> None:
     """Raise `error` unless n is an int (a bool is not) in 1..MAX_DIMENSION."""
     _integer(n, what, 1, MAX_DIMENSION, error)
+
+
+class _Function:
+    """The calling convention of every function family: f(z) is `_at` of the
+    point z, checked once by `_point` against f.dimension, and f.evaluate(z)
+    is (f(z), 0.0) unless the family overrides it to report an error."""
+
+    def __call__(self, z) -> complex:
+        return self._at(_point(z, self.dimension).coords)
+
+    def evaluate(self, z) -> tuple:
+        return self(z), 0.0
 
 
 def _on_coords(f, n: int):

@@ -14,7 +14,7 @@ class InvalidPointError(InvalidArgumentError):
 
 
 class InvalidMeasureError(InvalidArgumentError):
-    """Measure fails a structural invariant or the growth condition."""
+    """Measure fails a structural invariant, or the growth condition a function needs."""
 
 
 class UnknownCatalogueIdError(InvalidArgumentError):

@@ -1,22 +1,21 @@
 """Evaluable functions on the poly cut-plane.
 
-Three families share one calling convention (``f(point) -> complex`` with
-``f.dimension``, and ``f.evaluate(point) -> (value, error estimate)``):
-Cauchy-type functions defined by a measure, Herglotz functions given by a
-representing triple (a, b, mu) and extended symmetrically to the whole
-cut-plane, and the closed-form two-variable example catalogue f0..f7,
-whose branches are keyed by the sign pattern of the imaginary parts.
-`restrict_to_upper` views any of them on C+^n only, and
-`function_from_dict` builds one from its JSON descriptor.
+Three families share one calling convention, `core._Function` (``f(point)
+-> complex`` with ``f.dimension``, and ``f.evaluate(point) -> (value,
+error estimate)``): Cauchy-type functions defined by a measure, Herglotz
+functions given by a representing triple (a, b, mu) and extended
+symmetrically to the whole cut-plane, and the closed-form two-variable
+example catalogue f0..f7, whose branches are keyed by the sign pattern of
+the imaginary parts.  `restrict_to_upper` views any of them on C+^n only,
+and `function_from_dict` builds one from its JSON descriptor.
 
-The public calls validate their point (a `CutPlanePoint`, or coordinates
-that become one) and its dimension once, with `core._point`, and
+Each family has one private evaluation on a coordinate tuple,
+``f._at(coords) -> complex``, which checks nothing.  The public call is
+`_at` of its point (a `CutPlanePoint`, or coordinates that become one),
+which `core._point` validates with its dimension once; `analysis`
+evaluates the points it makes itself (reflections, ray, ladder and sample
+points) through `_at` as well (`core._on_coords`), so it builds none.
 `ClosedFormFunction` checks its declared dimension with `core._dimension`.
-Each family also has one private evaluation on a coordinate tuple,
-``f._at(coords) -> complex``, which checks nothing and gives the public
-value to the bit; `analysis` evaluates the reflections, ray points and
-ladder points derived from a validated point through it
-(`core._on_coords`), so it builds no point.
 
 A Cauchy-type function integrates K_n = i(2 prod A(z_l, t_l) - prod A(i, t_l))
 against its measure.  A(z, .) is the pole pair (z, -i), so the first
@@ -43,8 +42,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import _dimension, _on_coords, _point, _real, _upper
-from .errors import InvalidArgumentError, UnknownCatalogueIdError
+from .core import _dimension, _Function, _on_coords, _point, _real, _upper
+from .errors import InvalidArgumentError, InvalidMeasureError, UnknownCatalogueIdError
 from .measures import (
     MU2,
     DensityDescriptor,
@@ -61,18 +60,20 @@ from .measures import (
 )
 
 
-class CauchyTypeFunction:
+class CauchyTypeFunction(_Function):
     """g(z) = (1/pi^n) integral K_n(z, t) dmu(t) on the whole cut-plane.
 
     The growth term is exact (`check_growth`), so the error estimate is
     the z-dependent integral's, nonzero only from a curve term."""
 
     def __init__(self, measure: Measure):
-        _measure(measure)
+        growth = check_growth(measure)  # which checks the measure's variant first
+        if not growth.finite:
+            raise InvalidMeasureError("the growth integral of the measure is not finite")
         self.measure = measure
         self.dimension = measure.dimension
         self._prefactor = 1.0 / math.pi**self.dimension
-        self._growth = check_growth(measure).value
+        self._growth = growth.value
 
     def evaluate(self, z) -> tuple:
         zs = _point(z, self.dimension).coords
@@ -81,9 +82,6 @@ class CauchyTypeFunction:
             self._prefactor * (1j * (2.0 * val - self._growth)),
             self._prefactor * (2.0 * err),
         )
-
-    def __call__(self, z) -> complex:
-        return self.evaluate(z)[0]
 
     def _at(self, zs: tuple) -> complex:
         val, _ = _pair_integral(self.measure, [(c, -1j) for c in zs])
@@ -96,7 +94,7 @@ def evaluate_cauchy(mu: Measure, z) -> complex:
 
 @dataclass(frozen=True)
 class HerglotzTriple:
-    """Representing data (a, b, mu); b_j >= 0, mu satisfies the growth bound."""
+    """Representing data (a, b, mu); b_j >= 0; a `HerglotzFunction` checks mu's growth."""
 
     a: float
     b: tuple
@@ -113,7 +111,7 @@ class HerglotzTriple:
             raise InvalidArgumentError("b and measure dimensions differ")
 
 
-class HerglotzFunction:
+class HerglotzFunction(_Function):
     """h_sym(z) = a + sum b_j z_j + (1/pi^n) integral K_n dmu.
 
     On C+^n this is the represented Herglotz function; on the remaining
@@ -132,15 +130,12 @@ class HerglotzFunction:
         lin = self.triple.a + sum(b * c for b, c in zip(self.triple.b, p.coords))
         return lin + val, err
 
-    def __call__(self, z) -> complex:
-        return self.evaluate(z)[0]
-
     def _at(self, zs: tuple) -> complex:
         lin = self.triple.a + sum(b * c for b, c in zip(self.triple.b, zs))
         return lin + self._cauchy._at(zs)
 
 
-class ClosedFormFunction:
+class ClosedFormFunction(_Function):
     """Per-component closed forms, keyed by the sign pattern of Im z.
 
     Evaluation refuses points whose component has no branch; the catalogue
@@ -161,12 +156,6 @@ class ClosedFormFunction:
             for mask in range(1 << dimension)
         ]
 
-    def evaluate(self, z) -> tuple:
-        return self(z), 0.0
-
-    def __call__(self, z) -> complex:
-        return self._at(_point(z, self.dimension).coords)
-
     def _at(self, zs: tuple) -> complex:
         mask = 0
         for c in reversed(zs):
@@ -180,7 +169,7 @@ class ClosedFormFunction:
         return branch(*zs)
 
 
-class UpperRestriction:
+class UpperRestriction(_Function):
     """View of a function restricted to C+^n (raises elsewhere)."""
 
     def __init__(self, f):
@@ -191,13 +180,10 @@ class UpperRestriction:
         self._inner_at = _on_coords(f, f.dimension)
 
     def evaluate(self, z):
-        p = _upper(z, self.name)
+        p = _upper(z, self.name, self.dimension)
         if hasattr(self.inner, "evaluate"):
             return self.inner.evaluate(p)
         return self.inner(p), 0.0
-
-    def __call__(self, z) -> complex:
-        return self.evaluate(z)[0]
 
     def _at(self, zs: tuple) -> complex:
         if not all(c.imag > 0 for c in zs):

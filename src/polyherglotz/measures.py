@@ -59,8 +59,6 @@ _RATIONAL_TABLE: dict = {
     ),
 }
 
-_ARITY = {"constant": 1, "cauchy_weight": 0, "gaussian": 2, "rational_table": 1}
-
 # The Gaussian's Taylor coefficients come from this many samples of the
 # Faddeeva function on a circle about each cluster of nodes.
 _TAYLOR_SAMPLES = 64
@@ -74,10 +72,11 @@ class DensityDescriptor:
     params: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.form, str) or self.form not in _ARITY:
+        if not isinstance(self.form, str) or self.form not in _FORMS:
             raise InvalidMeasureError(f"unknown density form {self.form!r}")
-        if len(self.params) != _ARITY[self.form]:
-            raise InvalidMeasureError(f"a {self.form} density has {_ARITY[self.form]} parameter(s)")
+        arity = len(_FORMS[self.form][0])
+        if len(self.params) != arity:
+            raise InvalidMeasureError(f"a {self.form} density has {arity} parameter(s)")
         rational = None  # (c, poles a in C+) of w = c / prod (t - a)(t - conj a)
         if self.form == "constant":
             _real(self.params[0], "constant density c", 0, error=InvalidMeasureError)
@@ -376,6 +375,15 @@ def gaussian_density(mean: float, sigma: float) -> DensityDescriptor:
 
 def rational_density(name: str) -> DensityDescriptor:
     return DensityDescriptor("rational_table", (name,))
+
+
+#: form -> (the JSON names of its parameters, in `params` order; its constructor)
+_FORMS = {
+    "constant": (("c",), constant_density),
+    "cauchy_weight": ((), cauchy_weight),
+    "gaussian": (("mean", "sigma"), gaussian_density),
+    "rational_table": (("name",), rational_density),
+}
 
 
 @dataclass(frozen=True)
@@ -899,29 +907,15 @@ def density_from_dict(obj: dict) -> DensityDescriptor:
     if not isinstance(obj, dict) or "form" not in obj:
         raise InvalidArgumentError("density descriptor needs a 'form' field")
     form = obj["form"]
-    if form == "constant":
-        _require_fields(obj, {"form", "c"}, "constant density")
-        return constant_density(obj["c"])
-    if form == "cauchy_weight":
-        _require_fields(obj, {"form"}, "cauchy_weight density")
-        return cauchy_weight()
-    if form == "gaussian":
-        _require_fields(obj, {"form", "mean", "sigma"}, "gaussian density")
-        return gaussian_density(obj["mean"], obj["sigma"])
-    if form == "rational_table":
-        _require_fields(obj, {"form", "name"}, "rational_table density")
-        return rational_density(obj["name"])
-    raise InvalidArgumentError(f"unknown density form {form!r}")
+    if not isinstance(form, str) or form not in _FORMS:
+        raise InvalidArgumentError(f"unknown density form {form!r}")
+    names, make = _FORMS[form]
+    _require_fields(obj, {"form", *names}, f"{form} density")
+    return make(*[obj[name] for name in names])
 
 
 def density_to_dict(d: DensityDescriptor) -> dict:
-    if d.form == "constant":
-        return {"form": "constant", "c": d.params[0]}
-    if d.form == "cauchy_weight":
-        return {"form": "cauchy_weight"}
-    if d.form == "gaussian":
-        return {"form": "gaussian", "mean": d.params[0], "sigma": d.params[1]}
-    return {"form": "rational_table", "name": d.params[0]}
+    return {"form": d.form, **dict(zip(_FORMS[d.form][0], d.params))}
 
 
 def measure_from_dict(obj: dict) -> Measure:

@@ -15,11 +15,11 @@ the spike only cost subintervals.  Grading starts no finer than 4^-20, so
 a singularity takes at most 20 scales for any width.
 
 Every line is one call of the private `_line`, which grades the brackets
-and calls `quad` on one closure in theta.  An outer level of
-`integrate_rn` is an `integrate_line` of the next level; the innermost
-level hands `_line` its own closure, which calls f directly on the
-coordinate tuple, so a quadrature node of f costs one library frame.  The
-public entries check their input; the innermost level checks nothing.
+and calls `quad` on one closure in theta.  Every level of `integrate_rn`,
+outer or innermost, is one `_line` call on its own closure, which calls
+the next level, or f directly on the coordinate tuple at the innermost
+level, so a quadrature node of f costs one library frame.  The public
+entries check their input once; no level checks anything.
 
 Every inner level of the iterated quadrature runs at 1/100 of the caller's
 tolerances and only the outermost level at the caller's own: an inner error
@@ -177,15 +177,13 @@ def integrate_rn(
 
     def level(prefix: tuple):
         axis = len(prefix)
-        sing = hints(prefix) if hints else ()
-        tol = inner if axis else cfg
-        if axis < n - 1:
-            return integrate_line(lambda t: level(prefix + (t,))[0], tol, sing, complex_func)
+        g = f if axis == n - 1 else lambda x: level(x)[0]
 
         def integrand(theta):
             t = math.tan(theta)
-            return f(prefix + (t,)) * (1.0 + t * t)
+            return g(prefix + (t,)) * (1.0 + t * t)
 
-        return _line(integrand, tol, sing, complex_func)
+        sing = hints(prefix) if hints else ()
+        return _line(integrand, inner if axis else cfg, sing, complex_func)
 
     return level(())

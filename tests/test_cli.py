@@ -358,3 +358,16 @@ def test_check_nondep_ignores_the_seed(tmp_path, capsys):
     assert main(["check", "nondep", "--fn", "catalogue:f4", "--seed", "3", "--out", str(b)]) == 1
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "herglotz"])
+def test_eval_refuses_a_measure_with_infinite_growth(kind, tmp_path, capsys):
+    measure = {"type": "atomic", "points": [[0.0], [0.0]], "weights": [1.7e308, 1.7e308]}
+    fn = {"type": kind, "measure": measure}
+    if kind == "herglotz":
+        fn.update(a=0.0, b=[0.0])
+    spec = tmp_path / "fn.json"
+    spec.write_text(json.dumps(fn))
+    assert main(["eval", "--fn", f"@{spec}", "--point", "1i"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "growth integral of the measure is not finite" in err

@@ -10,6 +10,7 @@ from polyherglotz import (
     HerglotzFunction,
     HerglotzTriple,
     InvalidArgumentError,
+    InvalidMeasureError,
     LebesgueScaled,
     MU2,
     UnknownCatalogueIdError,
@@ -20,6 +21,7 @@ from polyherglotz import (
     positivity_check,
     restrict_to_upper,
 )
+from polyherglotz.measures import Atomic, check_growth, GrowthResult
 from conftest import random_cut_point
 
 PI = math.pi
@@ -228,3 +230,48 @@ def test_quadrature_error_estimates_reported():
     val, err = g.evaluate(point(1j, 2j))
     assert err > 0.0
     assert err < 1e-8
+
+
+#: Two atoms whose growth integral overflows double precision.
+INFINITE_GROWTH = Atomic(((0.0,), (0.0,)), (1.7e308, 1.7e308))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CauchyTypeFunction(INFINITE_GROWTH),
+        lambda: evaluate_cauchy(INFINITE_GROWTH, point(1j)),
+        lambda: HerglotzFunction(HerglotzTriple(0.0, (0.0,), INFINITE_GROWTH)),
+        lambda: function_from_dict({
+            "type": "cauchy",
+            "measure": {"type": "atomic", "points": [[0.0], [0.0]], "weights": [1.7e308] * 2},
+        }),
+        lambda: function_from_dict({
+            "type": "herglotz", "a": 0.0, "b": [0.0],
+            "measure": {"type": "atomic", "points": [[0.0], [0.0]], "weights": [1.7e308] * 2},
+        }),
+    ],
+    ids=["cauchy", "evaluate_cauchy", "herglotz", "cauchy descriptor", "herglotz descriptor"],
+)
+def test_a_function_of_a_measure_with_infinite_growth_is_refused(build):
+    """The growth integral is not finite: building the function raises,
+    where it evaluated to NaN with an error estimate of 0."""
+    with pytest.raises(InvalidMeasureError, match="growth integral of the measure is not finite"):
+        build()
+    assert check_growth(INFINITE_GROWTH) == GrowthResult(False, math.inf)
+
+
+def test_a_herglotz_triple_leaves_the_growth_to_its_function():
+    triple = HerglotzTriple(0.0, (0.0,), INFINITE_GROWTH)
+    assert triple.mu is INFINITE_GROWTH
+
+
+def test_a_restriction_checks_the_dimension_before_the_half_plane():
+    """Off C+^n and of the wrong dimension: both calls give the dimension
+    error, as `nevanlinna_residual` does."""
+    f = restrict_to_upper(catalogue("f4"))
+    for call in (f, f.evaluate):
+        with pytest.raises(InvalidArgumentError, match="dimension 3 where 2 is expected"):
+            call(point(-1j, 1j, 1j))
+        with pytest.raises(InvalidArgumentError, match=r"only defined on C\+\^n$"):
+            call(point(-1j, 1j))

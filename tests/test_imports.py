@@ -1,4 +1,4 @@
-"""Stdlib-only stand-ins for five lint rules on the library modules.
+"""Stdlib-only stand-ins for six lint rules on the library modules.
 
 Every name a library module imports is used in that module: a name bound
 by an import statement must appear as a name somewhere in the module.  The
@@ -26,6 +26,13 @@ a class body or under a module-level ``if`` or ``try``, by an import
 statement or by ``importlib.import_module``/``__import__``.  scipy is
 loaded by the first quadrature or Gaussian density that needs it, so
 ``import polyherglotz`` and the exact paths never pay for it.
+
+No module but ``core`` and ``cli`` calls ``CutPlanePoint(...)``, however
+the class is spelled.  A point is built from caller input, which enters
+through ``core._point`` or the CLI's ``--point``, or for a witness that a
+check's report returns, which goes through ``core._point`` too; a point
+the library makes itself is evaluated as a coordinate tuple.  Naming the
+class in a type annotation is not a call.
 """
 
 import ast
@@ -336,3 +343,52 @@ def test_finiteness_lint_rejects(source):
 )
 def test_finiteness_lint_accepts(source):
     assert not inf_comparisons(ast.parse(source))
+
+
+def point_constructions(tree) -> list:
+    """Line numbers where `tree` calls CutPlanePoint, as a name or an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "CutPlanePoint"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "CutPlanePoint"
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("core.py", "cli.py")], ids=lambda p: p.name
+)
+def test_points_are_built_in_core_and_cli_only(path):
+    lines = point_constructions(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} builds a CutPlanePoint at lines {lines}; use core._point"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "z = CutPlanePoint(coords)",
+        "z = core.CutPlanePoint((1j, 2j))",
+        "yield CutPlanePoint(tuple(coords))",
+        "pts = [CutPlanePoint(c) for c in grid]",
+        "g = lambda w: f(CutPlanePoint(w))",
+    ],
+)
+def test_point_construction_lint_rejects(source):
+    assert point_constructions(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(z: CutPlanePoint) -> CutPlanePoint: pass",
+        "witnesses: list[CutPlanePoint] = []",
+        "z = _point(coords)",
+        "make = CutPlanePoint",
+        "ok = isinstance(z, CutPlanePoint)",
+    ],
+)
+def test_point_construction_lint_accepts(source):
+    assert not point_constructions(ast.parse(source))

@@ -33,6 +33,7 @@ from polyherglotz import (
 )
 from polyherglotz import measures
 from polyherglotz.core import MAX_DIMENSION
+from polyherglotz.measures import density_from_dict, density_to_dict
 from polyherglotz.quadrature import integrate_rn
 from conftest import count_calls
 
@@ -461,3 +462,37 @@ def test_measure_to_dict_stable():
     assert d["type"] == "curve_pushforward"
     assert d["curve"] == {"alpha": [1.0, 1.0], "beta": [0.0, 0.0]}
     assert d["weight"] == {"form": "constant", "c": 1.0}
+
+
+@pytest.mark.parametrize("form", [["constant"], {"c": 1}, 1, None, "Constant"])
+def test_an_unknown_density_form_is_named(form):
+    """A form that is not a known string, unhashable ones included, gives
+    the one message in JSON and in the descriptor."""
+    with pytest.raises(InvalidArgumentError, match="unknown density form") as info:
+        density_from_dict({"form": form, "c": 1.0})
+    assert info.type is InvalidArgumentError
+    with pytest.raises(InvalidMeasureError, match="unknown density form"):
+        DensityDescriptor(form, (1.0,))
+
+
+@pytest.mark.parametrize(
+    "d, obj",
+    [
+        (constant_density(2.0), {"form": "constant", "c": 2.0}),
+        (cauchy_weight(), {"form": "cauchy_weight"}),
+        (gaussian_density(0.5, 1.5), {"form": "gaussian", "mean": 0.5, "sigma": 1.5}),
+        (rational_density("cauchy_squared"), {"form": "rational_table", "name": "cauchy_squared"}),
+    ],
+    ids=lambda v: v["form"] if isinstance(v, dict) else "",
+)
+def test_every_density_form_round_trips(d, obj):
+    assert density_to_dict(d) == obj and list(density_to_dict(d)) == list(obj)
+    assert density_from_dict(obj) == d
+    with pytest.raises(InvalidArgumentError, match=f"unknown fields \\['x'\\] in {obj['form']} density"):
+        density_from_dict({**obj, "x": 0})
+
+
+@pytest.mark.parametrize("obj", [{"form": "constant"}, {"form": "gaussian", "mean": 0.0}])
+def test_a_missing_density_parameter_is_malformed(obj):
+    with pytest.raises(InvalidArgumentError, match="malformed measure descriptor .KeyError"):
+        measure_from_dict({"type": "product_density", "factors": [obj]})

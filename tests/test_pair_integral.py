@@ -110,6 +110,32 @@ def test_curve_pair_integral_matches_integrate(case):
     assert abs(got - want) <= err + want_err + 1e-10
 
 
+#: A case on which `test_curve_pair_integral_matches_integrate` once failed:
+#: a Gaussian-weighted curve fixed on its first axis.
+UNDER_REPORTED = (
+    CurvePushforward((0.0, 1.0), (0.0, 0.0), gaussian_density(5.960464477539063e-08, 1.5)),
+    [(-1j, 1j), (-0.049787068367863944j, complex(-0.0, -1.0))],
+)
+
+
+def test_pair_integral_is_exact_where_integrate_under_reports():
+    mu, pairs = UNDER_REPORTED
+    exact = measures._curve_pair_integral(mu, pairs)
+    got, err = pair_integral(mu, pairs)
+    assert abs(got - exact) <= min(err, 1e-15)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="integrate's curve quadrature is 3.9e-10 off and reports 1.2e-10 (ROADMAP item 2)",
+)
+def test_integrate_bounds_its_curve_error():
+    mu, pairs = UNDER_REPORTED
+    exact = measures._curve_pair_integral(mu, pairs)
+    val, err = integrate(mu, lambda t: math.prod(pair(p, q, x) for (p, q), x in zip(pairs, t)))
+    assert abs(val - exact) <= err
+
+
 def curve_pair_integral_unshared(mu, pairs):
     """The curve branch of `pair_integral` with every node computed in each
     of `quad`'s two passes, as it was before they shared values."""

@@ -135,3 +135,19 @@ def test_config_validation():
 def test_config_rejects_tolerances_that_are_not_positive_finite_numbers(kwargs):
     with pytest.raises(InvalidArgumentError):
         QuadratureConfig(**kwargs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integrate_rn_never_calls_integrate_line(monkeypatch, n):
+    """Every level of `integrate_rn` is one `_line` call: with the public
+    `integrate_line` made to raise, it gives the same value and error."""
+    f = lambda x: math.prod(1.0 / (1.0 + t * t) for t in x)
+    cfg = QuadratureConfig(abs_tol=1e-6, rel_tol=1e-5)
+    want = integrate_rn(f, n, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_rn re-entered integrate_line")
+
+    monkeypatch.setattr(quadrature, "integrate_line", refuse)
+    assert repr(integrate_rn(f, n, cfg)) == repr(want)
+    assert abs(want[0] - PI**n) < 1e-5

@@ -1,8 +1,9 @@
 """Points are validated once, where they enter the library.
 
-The reflection sums, the Stoltz rays and the Stieltjes ladder evaluate
-their coordinate tuples through each function's private `_at`, and build
-no point.  The oracles below are the validated, generator-based forms
+The reflection sums, the Stoltz rays, the Stieltjes ladder and the samples
+of the three sampled checks evaluate their coordinate tuples through each
+function's private `_at`, and build no point; a check builds one only for
+each witness its report returns.  The oracles below are the validated, generator-based forms
 they replace: every derived point goes through `CutPlanePoint` and the
 public call, every reflection is rebuilt coordinate by coordinate.  The
 results must agree to the bit (repr-equal).
@@ -10,6 +11,8 @@ results must agree to the bit (repr-equal).
 
 import cmath
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -37,13 +40,21 @@ from polyherglotz.analysis import (
     DEFAULT_LIMITS,
     _LinearlyShifted,
     _stieltjes,
+    CheckReport,
     alternating_boundary_sum,
+    characterize,
     full_symmetry_sum,
+    nondependence_test,
+    positivity_check,
     reconstruct_from_upper,
     richardson_tableau,
     stieltjes_classic,
     stoltz_limit,
+    symmetry_check,
+    symmetry_residual,
 )
+from polyherglotz.core import _Function
+from polyherglotz.functions import ClosedFormFunction, UpperRestriction
 from conftest import count_calls
 
 # --- oracles -----------------------------------------------------------------
@@ -450,3 +461,180 @@ def test_hundred_seeded_stoltz_limits_are_bit_identical():
             lambda a: oracle_stoltz(f, j, base, direction, base_alternates=a), alternates
         )
         assert got == want, k
+
+
+# --- the sampled checks -------------------------------------------------------------
+#
+# Each oracle builds a `CutPlanePoint` for every sample and calls the public
+# function on it, as the checks did before they evaluated coordinate tuples.
+
+
+def oracle_report(samples, tol, config):
+    """The verdict of (point, residual) samples: worst first, NaN worst."""
+    rank = lambda r: (math.isnan(r), r)
+    worst = max([0.0] + [r for _, r in samples], key=rank)
+    over = sorted(
+        [(z, r) for z, r in samples if not r <= tol], key=lambda w: rank(w[1]), reverse=True
+    )
+    return CheckReport("fail" if over else "pass", worst, tol, over[:5], config)
+
+
+def oracle_symmetry_residual(f, z):
+    return abs(complex(f(z)) - oracle_symmetry_sum(_validated(f), z.coords))
+
+
+def oracle_symmetry_check(f, tol=1e-9, seed=analysis.DEFAULT_SEED):
+    rng = np.random.default_rng(seed)
+    samples = []
+    for signs in itertools.product((1, -1), repeat=f.dimension):
+        for _ in range(50):
+            coords = []
+            for s in signs:
+                x = rng.uniform(-3.0, 3.0)
+                coords.append(complex(x, s * math.exp(rng.uniform(math.log(0.1), math.log(3.0)))))
+            z = CutPlanePoint(tuple(coords))
+            samples.append((z, oracle_symmetry_residual(f, z)))
+    return oracle_report(samples, tol, {"points_per_component": 50, "seed": seed})
+
+
+def oracle_positivity_check(f, tol=1e-12, seed=analysis.DEFAULT_SEED):
+    n = f.dimension
+    if n <= 2:
+        axis = [complex(x, y) for x in (-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 4.0)
+                for y in (0.1, 0.5, 1.0, 2.0, 4.0)]
+    else:
+        axis = [complex(x, y) for x in (-2.0, 0.0, 2.0) for y in (0.1, 1.0)]
+    points = [CutPlanePoint(c) for c in itertools.product(axis, repeat=n)]
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        points.append(CutPlanePoint(tuple(
+            complex(rng.uniform(-6, 6), math.exp(rng.uniform(math.log(0.05), math.log(10))))
+            for _ in range(n)
+        )))
+    samples = []
+    for z in points:
+        im = complex(f(z)).imag
+        samples.append((z, im if math.isnan(im) else max(0.0, -im)))
+    return oracle_report(samples, tol, {"samples": 200, "seed": seed})
+
+
+def oracle_nondependence_test(f, tol=1e-9):
+    lower, upper = analysis._LOWER_BASES, analysis._UPPER_PROBES
+    n = f.dimension
+    samples = []
+    for signs in itertools.product((1, -1), repeat=n):
+        up = [j for j, s in enumerate(signs) if s == 1]
+        if not 0 < len(up) < n:
+            continue
+        for k in range(3):
+            values = []
+            for p in range(5):
+                z = CutPlanePoint(tuple(
+                    upper[(p + j) % 5] if j in up else lower[(k + j) % 3] for j in range(n)
+                ))
+                values.append((z, complex(f(z))))
+            samples += [(z, abs(v - values[0][1])) for z, v in values[1:]]
+    return oracle_report(samples, tol, {"probes": 5})
+
+
+CHECK_FUNCTIONS = {
+    **{f"f{k}": catalogue(f"f{k}") for k in range(8)},
+    "mu2": CauchyTypeFunction(MU2),
+    "lambda2": CauchyTypeFunction(LebesgueScaled(1.0, 2)),
+    "lambda3": CauchyTypeFunction(LebesgueScaled(1.0, 3)),
+    "herglotz b=(0,2)": HerglotzFunction(
+        HerglotzTriple(0.3, (0.0, 2.0), LebesgueScaled(1.0, 2))
+    ),
+    "f4_upper": restrict_to_upper(catalogue("f4")),
+    "f4_shifted": _LinearlyShifted(catalogue("f4"), (0.5, 2.0)),
+}
+
+CHECKS = {
+    "symmetry": (symmetry_check, oracle_symmetry_check),
+    "positivity": (positivity_check, oracle_positivity_check),
+    "nondependence": (nondependence_test, oracle_nondependence_test),
+}
+
+
+def report_outcome(run, f):
+    """(repr of the `to_dict` of run(f), its witnesses), or (the message of
+    the InvalidArgumentError it raises, no witnesses)."""
+    try:
+        report = run(f)
+    except InvalidArgumentError as e:
+        return f"InvalidArgumentError: {e}", []
+    return repr(report.to_dict()), report.witnesses
+
+
+def count_validations(monkeypatch):
+    """The calls of `CutPlanePoint.__post_init__`, one per point built."""
+    return count_calls(monkeypatch, CutPlanePoint, "__post_init__")
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("name", sorted(CHECK_FUNCTIONS) + ["foreign"])
+def test_sampled_checks_match_the_point_building_oracle(monkeypatch, name, check):
+    """The same report to the bit, with a point built for each witness and
+    for nothing else; a function without `_at` sees a validated point at
+    every sample it is evaluated at."""
+    run, oracle = CHECKS[check]
+    f = Foreign(catalogue("f2")) if name == "foreign" else CHECK_FUNCTIONS[name]
+    want, _ = report_outcome(oracle, f)
+    evaluated = len(f.seen) if name == "foreign" else None
+    validations = count_validations(monkeypatch)
+    got, witnesses = report_outcome(run, f)
+    assert got == want
+    # the restriction raises off C+^n, as its public call does, and reports nothing
+    assert not got.startswith("InvalidArgumentError") or name == "f4_upper"
+    assert all(type(z) is CutPlanePoint for z, _ in witnesses)
+    witnesses = len(witnesses)
+    if name == "foreign":
+        assert len(f.seen) == 2 * evaluated and len(validations) == evaluated + witnesses
+        assert all(type(z) is CutPlanePoint for z in f.seen)
+    else:
+        assert len(validations) == witnesses
+
+
+def test_the_oracle_cases_include_failures_with_five_witnesses():
+    for run, _ in CHECKS.values():
+        report = run(CHECK_FUNCTIONS["f0"])
+        assert report.verdict == "fail" and len(report.witnesses) == 5
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_FUNCTIONS) + ["foreign"])
+def test_symmetry_residual_matches_the_oracle_and_validates_its_point_once(monkeypatch, name):
+    f = Foreign(catalogue("f2")) if name == "foreign" else CHECK_FUNCTIONS[name]
+    rng = np.random.default_rng(20261020)
+    for _ in range(6):
+        coords = seeded_point(rng, rng.choice([-1, 1], f.dimension))
+        z = CutPlanePoint(coords)
+        want = outcome(lambda w: oracle_symmetry_residual(f, w), z)
+        validations = count_validations(monkeypatch)
+        assert outcome(lambda w: symmetry_residual(f, w), coords) == want
+        # the coordinates become one point; only a function without `_at`
+        # has each of the 2^n points it is evaluated at validated again
+        evaluated = 1 << f.dimension if name == "foreign" else 0
+        assert len(validations) == 1 + evaluated
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("fid", [f"f{k}" for k in range(8)] + ["lambda2"])
+def test_characterize_builds_its_base_and_its_witnesses(monkeypatch, fid):
+    f = CHECK_FUNCTIONS[fid]
+    validations = count_validations(monkeypatch)
+    result = characterize(f)
+    witnesses = sum(
+        len(r.witnesses) for r in result.reports.values() if isinstance(r, CheckReport)
+    )
+    assert len(validations) == 1 + witnesses
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [CauchyTypeFunction, HerglotzFunction, ClosedFormFunction, UpperRestriction, _LinearlyShifted],
+    ids=lambda c: c.__name__,
+)
+def test_call_is_defined_once_in_core(cls):
+    """Every family's public call is `_at` of the point it checks."""
+    assert issubclass(cls, _Function) and "__call__" not in vars(cls)
+    assert cls.__call__ is _Function.__call__

@@ -1,7 +1,8 @@
 """Higher-level procedures: symmetry and non-dependence checks, recovery of
 cut-plane values from upper-half-plane data, non-tangential growth limits,
-the symmetric-extension characterization verdict, and Stieltjes inversion
-in both the classical and the alternating (full cut-plane) form.
+the symmetric-extension characterization verdict (whose shifted function
+f - sum d_j z_j is `functions._Affine`, the wrapper a Herglotz function
+is), and Stieltjes inversion, classical or alternating (full cut-plane).
 
 All checks are sampled: universal statements are reported over documented
 deterministic grids plus seeded random points, never "proved": symmetry at
@@ -26,7 +27,6 @@ from .core import (
     MIN_IMAG,
     CutPlanePoint,
     _config,
-    _Function,
     _dimension,
     _height,
     _integer,
@@ -34,10 +34,13 @@ from .core import (
     _point,
     _real,
     _real_vector,
+    _reals,
+    _sequence,
     alternating_sum,
     symmetry_sum,
 )
 from .errors import InvalidArgumentError, TestFunctionBoundError
+from .functions import _Affine
 from .quadrature import QuadratureConfig, integrate_rn
 from .measures import boundary_hints
 
@@ -69,9 +72,8 @@ class LimitConfig:
             seq = getattr(self, name)
             if not isinstance(seq, (tuple, list)) or not seq:
                 raise InvalidArgumentError(f"{name} must be a non-empty list of numbers")
-            for v in seq:
-                _real(v, f"a {name} entry", lo, open_lo=open_lo)
-            object.__setattr__(self, name, tuple(seq))
+            seq = _reals(seq, name, f"a {name} entry", lo, open_lo=open_lo)
+            object.__setattr__(self, name, seq)
         r, y = self.radius_sequence, self.y_sequence
         if any(r[i] >= r[i + 1] for i in range(len(r) - 1)):
             raise InvalidArgumentError("radius sequence must increase")
@@ -118,6 +120,7 @@ def richardson_tableau(values: Sequence[complex], h: Sequence[float], order: int
     it is (2^m*b - a) / (2^m - 1) to the bit.
     """
     _integer(order, "order", 0)
+    values, h = _sequence(values, "values"), _sequence(h, "h")
     if len(h) != len(values):
         raise InvalidArgumentError("the tableau needs one step per value")
     return _tableau(values, h, order)
@@ -169,11 +172,10 @@ def _symmetry_residual(g, zs: tuple) -> float:
     return abs(complex(g(zs)) - symmetry_sum(g, zs))
 
 
-def _random_point(rng, signs) -> tuple:
-    return tuple(
-        complex(rng.uniform(-3.0, 3.0), s * math.exp(rng.uniform(math.log(0.1), math.log(3.0))))
-        for s in signs
-    )
+def _random_point(rng, signs, re: float, im: tuple) -> tuple:
+    """Per axis, Re z uniform in [-re, re], then |Im z| log-uniform in im, signed by `signs`."""
+    lo, hi = math.log(im[0]), math.log(im[1])
+    return tuple(complex(rng.uniform(-re, re), s * math.exp(rng.uniform(lo, hi))) for s in signs)
 
 
 def _sampled_report(samples, tol: float, config: dict) -> CheckReport:
@@ -207,7 +209,7 @@ def symmetry_check(f, tol: float = 1e-9, seed: int = DEFAULT_SEED) -> CheckRepor
     rng = np.random.default_rng(seed)
     g = _on_coords(f, f.dimension)
     points = (
-        _random_point(rng, signs)
+        _random_point(rng, signs, 3.0, (0.1, 3.0))
         for signs in itertools.product((1, -1), repeat=f.dimension)
         for _ in range(_POINTS_PER_COMPONENT)
     )
@@ -266,10 +268,7 @@ def _probe_points(n: int, samples: int, seed: int):
     yield from itertools.product(axis, repeat=n)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        yield tuple(
-            complex(rng.uniform(-6, 6), math.exp(rng.uniform(math.log(0.05), math.log(10))))
-            for _ in range(n)
-        )
+        yield _random_point(rng, (1,) * n, 6.0, (0.05, 10.0))
 
 
 _POSITIVITY_SAMPLES = 200
@@ -443,19 +442,6 @@ def stoltz_limit(
 # ---------------------------------------------------------------------------
 # Characterization verdict
 
-class _LinearlyShifted(_Function):
-    """f(z) - sum d_j z_j, used for the weakened growth variant."""
-
-    def __init__(self, f, d):
-        self.inner = f
-        self.d = tuple(d)
-        self.dimension = f.dimension
-        self._inner_at = _on_coords(f, f.dimension)
-
-    def _at(self, zs: tuple) -> complex:
-        return self._inner_at(zs) - sum(dj * c for dj, c in zip(self.d, zs))
-
-
 @dataclass
 class CharacterizeResult:
     verdict: str  # pass | fail | inconclusive
@@ -520,7 +506,7 @@ def characterize(
     reports = {"limits": limit_info}
     verdict = min(gate, key=_PRECEDENCE)
     if verdict == "pass":
-        shifted = f if all(dj == 0.0 for dj in d) else _LinearlyShifted(f, d)
+        shifted = f if all(dj == 0.0 for dj in d) else _Affine(f, 0.0, tuple(-dj for dj in d))
         checks = {
             "positivity": positivity_check(f, seed=seed),
             "symmetry": symmetry_check(shifted, seed=seed),
@@ -549,16 +535,17 @@ class TestFunction:
         return self.func(x)
 
 
+def _decay(x: tuple) -> float:
+    """prod_j (1 + x_j^2)^-1: phi_cauchy, and the bound of every test function over D."""
+    p = 1.0
+    for v in x:
+        p *= 1.0 / (1.0 + v * v)
+    return p
+
+
 def phi_cauchy(n: int) -> TestFunction:
     _dimension(n, "phi dimension", InvalidArgumentError)
-
-    def func(x):
-        p = 1.0
-        for v in x:
-            p *= 1.0 / (1.0 + v * v)
-        return p
-
-    return TestFunction(f"cauchy{n}d", n, 1.0, func)
+    return TestFunction(f"cauchy{n}d", n, 1.0, _decay)
 
 
 def phi_gaussian(n: int, sigma: float = 1.0) -> TestFunction:
@@ -584,10 +571,7 @@ def _spot_check_bound(phi: TestFunction) -> None:
     for _ in range(200):
         pts.append(tuple(rng.uniform(-100, 100) for _ in range(phi.dimension)))
     for x in pts:
-        bound = phi.bound_constant
-        for v in x:
-            bound *= 1.0 / (1.0 + v * v)
-        if not abs(phi(x)) <= bound * (1.0 + 1e-9) + 1e-300:  # NaN fails
+        if not abs(phi(x)) <= phi.bound_constant * _decay(x) * (1.0 + 1e-9) + 1e-300:  # NaN fails
             raise TestFunctionBoundError(
                 f"{phi.name} violates its decay bound at {x}"
             )
@@ -678,7 +662,7 @@ def alternating_boundary_sum(g, x: tuple, y: float) -> complex:
     evaluated unchecked, as coordinate tuples (`_boundary_sum`).
     """
     _height(y)
-    x = tuple(x)
+    x = _sequence(x, "x")
     return _boundary_sum(_on_coords(g, len(x)), _real_vector(x, len(x)), y)
 
 

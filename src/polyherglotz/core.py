@@ -2,19 +2,19 @@
 
 A point of the cut-plane is an n-tuple of finite complex coordinates, each
 with strictly nonzero imaginary part.  Caller input is validated once, by
-rules that live here alone and convert nothing: `CutPlanePoint` rejects
-real, NaN and infinite coordinates (`InvalidPointError`); an entry takes
-its point through `_point` (which checks a fixed dimension), or `_upper`
-if defined on C+^n only; `_real` checks every real parameter (a finite
-real, not a bool, in range, or the caller's error class), `_height` the y
-of a Stieltjes boundary point, `_real_vector` a kernel's t and a boundary
-point's x (each entry by `_real`'s rule), `_integer` every integer
-parameter (an axis, an order, rho, a seed), `_dimension` every
+rules that live here alone: `CutPlanePoint` rejects real, NaN, infinite and
+non-numeric coordinates (`InvalidPointError`); an entry takes its point
+through `_point` (which checks a fixed dimension), or `_upper` if defined
+on C+^n only; `_real` checks every real parameter (a finite real, not a
+bool, in range, or the caller's error class), `_height` the y of a
+Stieltjes boundary point, `_sequence` every caller's sequence (any iterable
+but a str), `_reals` one of reals, `_real_vector` a kernel's t and a
+boundary point's x, `_integer` every integer parameter, `_dimension` every
 declared dimension and `_config` every config argument.  `_Function`, the
-calling convention of every function family, checks a point once and
-hands its coordinates to the family's `_at`.  Points the library makes
-itself are never built: `_on_coords` hands their tuples to `_at`, and a
-sampled check builds a point only for a witness that its report returns.
+calling convention of every function family, checks a point once and hands
+its coordinates to the family's `_at`.  Points the library makes itself are
+never built: `_on_coords` hands their tuples to `_at`, and a sampled check
+builds a point only for a witness it returns.
 
 The cut-plane splits into 2^n connected components indexed by the sign
 pattern of the imaginary parts.  The selective conjugation Psi_B(w, z)
@@ -51,7 +51,10 @@ class CutPlanePoint:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple([complex(c) for c in self.coords])
+        try:
+            coords = tuple([complex(c) for c in self.coords])
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidPointError(f"coordinates {self.coords!r} are not complex") from None
         object.__setattr__(self, "coords", coords)
         n = len(coords)
         if n < 1:
@@ -85,7 +88,7 @@ def _point(z, n: int | None = None) -> CutPlanePoint:
     """z itself when it is a `CutPlanePoint`, else the point of its
     coordinates; given n, another dimension raises `InvalidArgumentError`."""
     if not isinstance(z, CutPlanePoint):
-        z = CutPlanePoint(tuple(z))
+        z = CutPlanePoint(z)
     if n is not None and len(z.coords) != n:
         raise InvalidArgumentError(f"a point of dimension {len(z.coords)} where {n} is expected")
     return z
@@ -98,10 +101,25 @@ def _finite_real(x) -> bool:
     ) and -math.inf < x < math.inf
 
 
+def _sequence(seq, what: str, error: type = InvalidArgumentError) -> tuple:
+    """seq as a tuple, or `error` unless it is a sequence (any iterable) and not a str."""
+    if isinstance(seq, str) or not hasattr(seq, "__iter__"):
+        raise error(f"{what} must be a sequence, got {seq!r}")
+    return tuple(seq)
+
+
+def _reals(seq, what: str, entry: str, lo=-math.inf, error=InvalidArgumentError, open_lo=False):
+    """`_sequence(seq, what, error)`, each entry x checked by `_real(x, entry, lo, ...)`."""
+    seq = _sequence(seq, what, error)
+    for x in seq:
+        _real(x, entry, lo, error=error, open_lo=open_lo)
+    return seq
+
+
 def _real_vector(t, n: int) -> tuple:
-    """t as a tuple of n floats, or `InvalidArgumentError` unless each
-    entry is a finite real, not a bool (`_real`'s rule)."""
-    t = tuple(t)
+    """t as a tuple of n floats, or `InvalidArgumentError` unless it is a
+    sequence whose every entry is a finite real, not a bool (`_real`'s rule)."""
+    t = _sequence(t, "t")
     if len(t) != n or not all(map(_finite_real, t)):
         raise InvalidArgumentError(f"t = {t} must hold {n} finite reals")
     return tuple([float(x) for x in t])
@@ -147,7 +165,7 @@ def _config(cfg, cls: type) -> None:
     """Raise `InvalidArgumentError` unless cfg is a `cls`.  The limit,
     inversion and quadrature entries call this before any work: a dict of
     the same fields would fail later, and has none of the rays a
-    `LimitConfig` computes."""
+    `LimitConfig` computes.  A Herglotz triple and a branch dict too."""
     if not isinstance(cfg, cls):
         raise InvalidArgumentError(f"a {cls.__name__} is expected, got {cfg!r}")
 

@@ -3,11 +3,11 @@
 Three families share one calling convention, `core._Function` (``f(point)
 -> complex`` with ``f.dimension``, and ``f.evaluate(point) -> (value,
 error estimate)``): Cauchy-type functions defined by a measure, Herglotz
-functions given by a representing triple (a, b, mu) and extended
-symmetrically to the whole cut-plane, and the closed-form two-variable
-example catalogue f0..f7, whose branches are keyed by the sign pattern of
-the imaginary parts.  `restrict_to_upper` views any of them on C+^n only,
-and `function_from_dict` builds one from its JSON descriptor.
+functions a + sum b_j z_j + g given by a triple (a, b, mu), the wrapper
+`_Affine` around the Cauchy-type g of mu, and the closed-form example
+catalogue f0..f7, whose branches are keyed by the sign pattern of the
+imaginary parts.  `restrict_to_upper` views any of them on C+^n only, and
+`function_from_dict` builds one from its JSON descriptor.
 
 Each family has one private evaluation on a coordinate tuple,
 ``f._at(coords) -> complex``, which checks nothing.  The public call is
@@ -31,9 +31,9 @@ Building a function runs no quadrature.
 
 Every function object exposes `measure`: the defining measure of a
 Cauchy-type function or a catalogue entry that has one, the representing
-measure of a Herglotz function, the inner function's for a restriction,
-and None otherwise.  Stieltjes inversion reads its quadrature hints from
-it (`measures.boundary_hints`).
+measure of a Herglotz function, the inner function's for a restriction or
+an affine wrapper, and None otherwise.  Stieltjes inversion reads its
+quadrature hints from it (`measures.boundary_hints`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .core import _dimension, _Function, _on_coords, _point, _real, _upper
+from .core import _config, _dimension, _Function, _on_coords, _point, _real, _reals, _upper
 from .errors import InvalidArgumentError, InvalidMeasureError, UnknownCatalogueIdError
 from .measures import (
     MU2,
@@ -102,16 +102,35 @@ class HerglotzTriple:
 
     def __post_init__(self):
         _real(self.a, "a")
-        for x in self.b:
-            _real(x, "a b component", 0)
+        b = _reals(self.b, "b", "a b component", 0)
         _measure(self.mu)
         object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
+        object.__setattr__(self, "b", tuple(map(float, b)))
         if len(self.b) != self.mu.dimension:
             raise InvalidArgumentError("b and measure dimensions differ")
 
 
-class HerglotzFunction(_Function):
+class _Affine(_Function):
+    """a + sum b_j z_j + inner(z), summed in that order, with inner's error estimate."""
+
+    def __init__(self, inner, a: float, b: tuple):
+        self.inner = inner
+        self.a = a
+        self.b = b
+        self.dimension = inner.dimension
+        self.measure = getattr(inner, "measure", None)
+        self._inner_at = _on_coords(inner, inner.dimension)
+
+    def evaluate(self, z) -> tuple:
+        p = _point(z, self.dimension)
+        val, err = self.inner.evaluate(p)
+        return self.a + sum(b * c for b, c in zip(self.b, p.coords)) + val, err
+
+    def _at(self, zs: tuple) -> complex:
+        return self.a + sum(b * c for b, c in zip(self.b, zs)) + self._inner_at(zs)
+
+
+class HerglotzFunction(_Affine):
     """h_sym(z) = a + sum b_j z_j + (1/pi^n) integral K_n dmu.
 
     On C+^n this is the represented Herglotz function; on the remaining
@@ -119,20 +138,9 @@ class HerglotzFunction(_Function):
     """
 
     def __init__(self, triple: HerglotzTriple):
+        _config(triple, HerglotzTriple)
+        super().__init__(CauchyTypeFunction(triple.mu), triple.a, triple.b)
         self.triple = triple
-        self.measure = triple.mu
-        self.dimension = triple.mu.dimension
-        self._cauchy = CauchyTypeFunction(triple.mu)
-
-    def evaluate(self, z) -> tuple:
-        p = _point(z)
-        val, err = self._cauchy.evaluate(p)
-        lin = self.triple.a + sum(b * c for b, c in zip(self.triple.b, p.coords))
-        return lin + val, err
-
-    def _at(self, zs: tuple) -> complex:
-        lin = self.triple.a + sum(b * c for b, c in zip(self.triple.b, zs))
-        return lin + self._cauchy._at(zs)
 
 
 class ClosedFormFunction(_Function):
@@ -147,6 +155,7 @@ class ClosedFormFunction(_Function):
 
     def __init__(self, name, dimension, branches, measure=None):
         _dimension(dimension, "dimension", InvalidArgumentError)
+        _config(branches, dict)
         self.name = name
         self.dimension = dimension
         self.branches = branches
@@ -313,9 +322,7 @@ def _function_from_dict(obj: dict):
         return CauchyTypeFunction(measure_from_dict(obj["measure"]))
     if kind == "herglotz":
         _require_fields(obj, {"type", "a", "b", "measure"}, "herglotz descriptor")
-        triple = HerglotzTriple(
-            obj["a"], tuple(obj["b"]), measure_from_dict(obj["measure"])
-        )
+        triple = HerglotzTriple(obj["a"], obj["b"], measure_from_dict(obj["measure"]))
         return HerglotzFunction(triple)
     raise InvalidArgumentError(f"unknown function type {kind!r}")
 

@@ -16,13 +16,13 @@ which Stieltjes inversion relies on when probing y -> 0+.
 Every one-variable factor is a pole pair
 pair(p, q)(t) = (1/2i)(1/(t-p) - 1/(t-q)) (`_pair`): A(z, .) is (z, -i), the
 growth weight 1/(1+t^2) is (i, -i), and `_n_pairs` tabulates the N_rho.
-`_pair` and `kernel_k` skip input validation.  The six public entries
-check z with `core._point` (a scalar z as the point (z,)): a real,
-near-real, NaN or infinite coordinate raises `InvalidPointError`; the two
-Poisson entries take `core._upper`.  They check t with
-`core._real_vector`: a wrong length or a non-finite entry raises
-`InvalidArgumentError`.  The two kernel sums run through the
-reflection sums of `core`.
+`_pair` and `kernel_k` skip input validation.  The public entries check z
+with `core._point`, the two Poisson ones with `core._upper`; only
+`kernel_K1_closed` and `n_factor` read a scalar z, as the point (z,).  A
+real, near-real, NaN, infinite or non-numeric coordinate raises
+`InvalidPointError`.  They check t with `core._real_vector`: a wrong
+length or a non-finite entry raises `InvalidArgumentError`.  The two
+kernel sums run through the reflection sums of `core`.
 """
 
 from __future__ import annotations

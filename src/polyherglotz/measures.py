@@ -43,7 +43,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import MAX_DIMENSION, CutPlanePoint, _dimension, _real, _upper
+from .core import MAX_DIMENSION, CutPlanePoint, _dimension, _real, _reals, _sequence, _upper
 from .errors import DivergenceError, InvalidArgumentError, InvalidMeasureError
 from .kernels import _n_pairs, _pair
 from .quadrature import integrate_line, integrate_rn
@@ -75,6 +75,7 @@ class DensityDescriptor:
         if not isinstance(self.form, str) or self.form not in _FORMS:
             raise InvalidMeasureError(f"unknown density form {self.form!r}")
         arity = len(_FORMS[self.form][0])
+        object.__setattr__(self, "params", _sequence(self.params, "params", InvalidMeasureError))
         if len(self.params) != arity:
             raise InvalidMeasureError(f"a {self.form} density has {arity} parameter(s)")
         rational = None  # (c, poles a in C+) of w = c / prod (t - a)(t - conj a)
@@ -91,7 +92,7 @@ class DensityDescriptor:
             _real(s, "gaussian sigma", 0, error=InvalidMeasureError, open_lo=True)
             fn = lambda t: math.exp(-0.5 * ((t - m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
         else:  # rational_table
-            if self.params[0] not in _RATIONAL_TABLE:
+            if not isinstance(self.params[0], str) or self.params[0] not in _RATIONAL_TABLE:
                 raise InvalidMeasureError(f"unknown rational_table entry {self.params!r}")
             fn = _RATIONAL_TABLE[self.params[0]][0]
             rational = (1.0, _RATIONAL_TABLE[self.params[0]][2])
@@ -122,15 +123,16 @@ class DensityDescriptor:
         return (self._cauchy_transform(p) - self._cauchy_transform(q)) / 2j
 
     def _cauchy_transform(self, z: complex) -> complex:
-        """C(z) = integral of w(t)/(t-z) dt; C(z) = conj C(conj z) for Im z < 0."""
+        """C(z) = integral of w(t)/(t-z) dt, by `_faddeeva` for the Gaussian;
+        otherwise C(z) = conj C(conj z) for Im z < 0."""
+        if self.form == "gaussian":
+            m, s = self.params
+            peak = 1.0 / (s * math.sqrt(2.0 * math.pi))  # the density at its mean
+            return 1j * math.pi * _faddeeva((z - m) / (s * math.sqrt(2.0))) * peak
         if z.imag < 0:
             return self._cauchy_transform(z.conjugate()).conjugate()
         if self.form == "cauchy_weight":
             return -math.pi / (z + 1j)
-        if self.form == "gaussian":
-            m, s = self.params
-            w = _wofz((z - m) / (s * math.sqrt(2.0)))
-            return complex(1j * math.pi * w / (s * math.sqrt(2.0 * math.pi)))
         return _RATIONAL_TABLE[self.params[0]][1](z)
 
     def _line_integral(self, nodes: list) -> complex:
@@ -393,15 +395,12 @@ class Atomic:
     dim: int | None = None
 
     def __post_init__(self):
-        for w in self.weights:
-            _real(w, "an atom weight", 0, error=InvalidMeasureError)
-        for p in self.points:
-            for x in p:
-                _real(x, "an atom coordinate", error=InvalidMeasureError)
-        points = tuple(tuple(float(x) for x in p) for p in self.points)
-        weights = tuple(float(w) for w in self.weights)
+        weights = _reals(self.weights, "atom weights", "an atom weight", 0, InvalidMeasureError)
+        points = [_reals(p, "an atom", "an atom coordinate", error=InvalidMeasureError)
+                  for p in _sequence(self.points, "atoms", InvalidMeasureError)]
+        points = tuple(tuple(map(float, p)) for p in points)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", tuple(map(float, weights)))
         if len(points) != len(weights):
             raise InvalidMeasureError("points and weights lengths differ")
         if self.dim is not None:
@@ -441,7 +440,7 @@ class ProductDensity:
     factors: tuple  # of DensityDescriptor
 
     def __post_init__(self):
-        factors = tuple(self.factors)
+        factors = _sequence(self.factors, "product density factors", InvalidMeasureError)
         object.__setattr__(self, "factors", factors)
         _dimension(len(factors), "product density dimension", InvalidMeasureError)
         if not all(isinstance(w, DensityDescriptor) for w in factors):
@@ -462,10 +461,9 @@ class CurvePushforward:
     scale: float = 1.0
 
     def __post_init__(self):
-        for x in (*self.alpha, *self.beta):
-            _real(x, "a curve alpha or beta component", error=InvalidMeasureError)
-        alpha = tuple(float(a) for a in self.alpha)
-        beta = tuple(float(b) for b in self.beta)
+        entry = "a curve alpha or beta component"
+        alpha = tuple(map(float, _reals(self.alpha, "alpha", entry, error=InvalidMeasureError)))
+        beta = tuple(map(float, _reals(self.beta, "beta", entry, error=InvalidMeasureError)))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         if len(alpha) != len(beta):
@@ -490,7 +488,7 @@ class MeasureSum:
     terms: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "terms", _sequence(self.terms, "sum terms", InvalidMeasureError))
         if not self.terms:
             raise InvalidMeasureError("sum needs >= 1 term")
         for term in self.terms:
@@ -933,11 +931,7 @@ def _measure_from_dict(obj: dict) -> Measure:
     kind = obj["type"]
     if kind == "atomic":
         _require_fields(obj, {"type", "points", "weights", "dimension"}, "atomic")
-        return Atomic(
-            tuple(tuple(p) for p in obj["points"]),
-            tuple(obj["weights"]),
-            obj.get("dimension"),
-        )
+        return Atomic(obj["points"], obj["weights"], obj.get("dimension"))
     if kind == "lebesgue_scaled":
         _require_fields(obj, {"type", "c", "dimension"}, "lebesgue_scaled")
         return LebesgueScaled(obj["c"], obj["dimension"])
@@ -949,10 +943,7 @@ def _measure_from_dict(obj: dict) -> Measure:
         curve = obj["curve"]
         _require_fields(curve, {"alpha", "beta"}, "curve")
         return CurvePushforward(
-            tuple(curve["alpha"]),
-            tuple(curve["beta"]),
-            density_from_dict(obj["weight"]),
-            obj["scale"],
+            curve["alpha"], curve["beta"], density_from_dict(obj["weight"]), obj["scale"]
         )
     if kind == "sum":
         _require_fields(obj, {"type", "terms"}, "sum")

@@ -3,7 +3,8 @@ partial-fraction oracle in mpmath.
 
 The oracle sums C(r_j) / prod_{k != j} (r_j - r_k) over the nodes r_j of
 w(s) / prod_j (s - r_j), with C the Cauchy transform of the weight on the
-half-plane of each node (mpmath's erfc for the Gaussian), at 80 digits.
+half-plane of each node (the Faddeeva function for the Gaussian: mpmath's
+erfc near the weight, its asymptotic series far out), at 80 digits.
 Repeated nodes are split by 1e-25: a node repeats at most three times (once
 per axis), so the split costs 50 digits and moves the integral by about
 1e-25 over the distance to the nearest other node.
@@ -51,6 +52,27 @@ WEIGHTS = [
 ]
 
 
+#: Beyond this |zeta| the oracle takes w(zeta) from its asymptotic series,
+#: whose least term, about exp(-|zeta|^2), is then below 1e-170.
+SERIES_RADIUS = 20
+
+
+def faddeeva(zeta):
+    """w(zeta) for Im zeta >= 0.  Near the origin, exp(-zeta^2) erfc(-i zeta);
+    farther out that product of a huge and a tiny factor breaks down (at
+    |zeta| near 1e250 mpmath returned values near 1e+1125436476), and w is
+    the asymptotic series i/(sqrt(pi) zeta) sum_k (2k-1)!!/(2 zeta^2)^k,
+    summed until a term falls below 1e-90 of the first."""
+    if abs(zeta) < SERIES_RADIUS:
+        return mp.exp(-zeta**2) * mp.erfc(-1j * zeta)
+    total, term, k = mp.mpc(0), mp.mpc(1), 0
+    while abs(term) > mp.mpf(10) ** -90:
+        total += term
+        term *= (2 * k + 1) / (2 * zeta**2)
+        k += 1
+    return 1j * total / (mp.sqrt(mp.pi) * zeta)
+
+
 def cauchy_transform(w, r):
     """integral of w(t)/(t - r) dt, on either half-plane."""
     if r.imag < 0:
@@ -63,7 +85,27 @@ def cauchy_transform(w, r):
         return -mp.pi / 2 * (1j / (r + 1j) ** 2 + 1 / (r + 1j))  # double pole at -i
     m, s = (mp.mpf(x) for x in w.params)
     zeta = (r - m) / (s * mp.sqrt(2))
-    return 1j * mp.pi * mp.exp(-zeta**2) * mp.erfc(-1j * zeta) / (s * mp.sqrt(2 * mp.pi))
+    return 1j * mp.pi * faddeeva(zeta) / (s * mp.sqrt(2 * mp.pi))
+
+
+@pytest.mark.parametrize("radius", [SERIES_RADIUS, 35, 200])
+def test_the_faddeeva_series_matches_erfc_where_both_hold(radius):
+    """Where erfc still holds, at 120 digits, the series agrees with it to
+    75 digits (its 80-digit arithmetic, summed over up to some 60 terms),
+    in every direction of the closed upper half-plane."""
+    for angle in (0.0, 0.1, 0.5, 1.0, 1.5, 2.5, 3.1, mp.pi):
+        zeta = radius * mp.expjpi(angle / mp.pi)
+        series = faddeeva(zeta)
+        with mp.workdps(120):
+            want = mp.exp(-zeta**2) * mp.erfc(-1j * zeta)
+        assert abs(series - want) <= mp.mpf(10) ** -75 * abs(want), (radius, angle)
+
+
+def test_the_faddeeva_series_holds_at_huge_nodes():
+    """w(zeta) ~ i/(sqrt(pi) zeta) to every digit once |zeta| is huge."""
+    for zeta in (mp.mpc(1e250, 1e-3), mp.mpc(-3e249, 2e250), mp.mpc(0, 1e300)):
+        want = 1j / (mp.sqrt(mp.pi) * zeta)
+        assert abs(faddeeva(zeta) - want) <= mp.mpf(10) ** -80 * abs(want)
 
 
 def oracle_product(mu, pairs):

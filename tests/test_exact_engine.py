@@ -221,8 +221,9 @@ def relative_precision(xs) -> float:
 def test_tiny_slopes_raise_vanish_or_are_finite(case, log_alpha):
     """An axis with |alpha| <= 1e-200 makes the constant overflow or nearly
     so: the residual raises InvalidArgumentError, or is 0, or is finite and
-    then, unless the weight is Gaussian, agrees with the partial-fraction
-    oracle of `test_curve_exact`.  It is never NaN or inf.  The oracle
+    then agrees with the partial-fraction oracle of `test_curve_exact`,
+    whose Gaussian takes the asymptotic series of the Faddeeva function at
+    nodes this large.  It is never NaN or inf.  The oracle
     takes the double-precision inputs as exact, so a subnormal coordinate
     or offset, whose own precision is coarser, widens the tolerance by that
     precision."""
@@ -231,13 +232,6 @@ def test_tiny_slopes_raise_vanish_or_are_finite(case, log_alpha):
     got = outcome(nevanlinna_residual, mu, point(*z))
     assert got != "non-finite"
     if got in ("InvalidArgumentError", "0j"):
-        return
-    if mu.weight.form == "gaussian":
-        # The oracle's Gaussian branch, exp(-zeta^2) erfc(-i zeta), breaks
-        # down at nodes this large (about 1/|alpha| >= 1e200): it returned
-        # values of order 1e+1125436476 where the engine returned 0
-        # (CHANGES.md, FOUND on the mpmath oracle).  A finite value is all
-        # that can be checked here.
         return
     from test_curve_exact import REL_TOL, oracle_residual
 

@@ -1,5 +1,8 @@
+import itertools
+import json
 import math
 
+import numpy as np
 import pytest
 
 from polyherglotz import (
@@ -13,10 +16,13 @@ from polyherglotz import (
     InvalidMeasureError,
     LebesgueScaled,
     MU2,
+    PolyherglotzError,
     UnknownCatalogueIdError,
     catalogue,
     evaluate_cauchy,
     function_from_dict,
+    function_from_json,
+    measure_to_dict,
     point,
     positivity_check,
     restrict_to_upper,
@@ -223,6 +229,70 @@ def test_function_descriptor_upper_restriction():
     assert abs(f(point(1j, 1j)) - catalogue("f4")(point(1j, 1j))) == 0.0
     with pytest.raises(InvalidArgumentError):
         f(point(-1j, 1j))
+
+
+#: One JSON descriptor of each kind `function_from_json` reads.
+JSON_DESCRIPTORS = {
+    "catalogue": '{"type": "catalogue", "id": "f2"}',
+    "catalogue upper": '{"type": "catalogue", "id": "f4-upper"}',
+    "cauchy": json.dumps({"type": "cauchy", "measure": measure_to_dict(MU2)}),
+    "herglotz": json.dumps(
+        {
+            "type": "herglotz",
+            "a": 0.5,
+            "b": [1.0, 2.5],
+            "measure": {"type": "lebesgue_scaled", "c": 1.0, "dimension": 2},
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_DESCRIPTORS))
+def test_function_from_json_is_function_from_dict_of_the_parsed_text(kind):
+    """The same function, to the bit, at points on every component it
+    accepts; the restriction refuses the others, as its dict twin does."""
+    text = JSON_DESCRIPTORS[kind]
+    f, g = function_from_json(text), function_from_dict(json.loads(text))
+    assert type(f) is type(g) and f.dimension == g.dimension
+    rng = np.random.default_rng(20261021)
+    for signs in itertools.product((1, -1), repeat=f.dimension):
+        for _ in range(3):
+            z = random_cut_point(rng, f.dimension, signs)
+            if kind == "catalogue upper" and -1 in signs:
+                for h in (f, g):
+                    with pytest.raises(InvalidArgumentError, match="only defined on C"):
+                        h(z)
+                continue
+            assert repr(f(z)) == repr(g(z))
+            assert repr(f.evaluate(z)) == repr(g.evaluate(z))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"type": "catalogue", "id": "f2"', "catalogue:f2", "", "[1, 2]", "5"],
+    ids=["unclosed", "shorthand", "empty", "list", "number"],
+)
+def test_function_from_json_rejects_text_that_is_no_descriptor(text):
+    with pytest.raises(ValueError):  # json.JSONDecodeError or the library's error
+        function_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"type": "herglotz", "a": 0.0, "b": 5, "measure": {"type": "lebesgue_scaled", "c": 1.0}},
+        {"type": "herglotz", "a": 0.0, "b": "ab", "measure": measure_to_dict(MU2)},
+        {"type": "cauchy", "measure": {"type": "atomic", "points": 5, "weights": [1.0]}},
+        {"type": "cauchy", "measure": {"type": "atomic", "points": [[0.5]], "weights": None}},
+        {"type": "cauchy", "measure": {"type": "curve_pushforward", "curve": {"alpha": 1,
+         "beta": [0.0]}, "weight": {"form": "constant", "c": 1.0}, "scale": 1.0}},
+        {"type": "catalogue", "id": ["f2"]},
+    ],
+    ids=["b number", "b str", "atom points", "atom weights", "curve alpha", "id list"],
+)
+def test_function_from_json_raises_the_library_error_for_malformed_fields(obj):
+    with pytest.raises(PolyherglotzError):
+        function_from_json(json.dumps(obj))
 
 
 def test_quadrature_error_estimates_reported():

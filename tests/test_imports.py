@@ -1,4 +1,4 @@
-"""Stdlib-only stand-ins for six lint rules on the library modules.
+"""Stdlib-only stand-ins for seven lint rules on the library modules.
 
 Every name a library module imports is used in that module: a name bound
 by an import statement must appear as a name somewhere in the module.  The
@@ -33,6 +33,11 @@ through ``core._point`` or the CLI's ``--point``, or for a witness that a
 check's report returns, which goes through ``core._point`` too; a point
 the library makes itself is evaluated as a coordinate tuple.  Naming the
 class in a type annotation is not a call.
+
+No module but ``core`` calls ``_real`` inside a loop or a comprehension,
+however it is spelled (a name or a ``core._real`` attribute).  Such a loop
+is a hand-made copy of the rule for a caller's sequence of reals, which
+every constructor reaches through ``core._reals``.
 """
 
 import ast
@@ -392,3 +397,61 @@ def test_point_construction_lint_rejects(source):
 )
 def test_point_construction_lint_accepts(source):
     assert not point_constructions(ast.parse(source))
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def real_checks_in_loops(tree) -> list:
+    """Line numbers where `tree` calls `_real`, as a name or an attribute,
+    inside a loop or a comprehension."""
+    return sorted(
+        {
+            node.lineno
+            for loop in ast.walk(tree)
+            if isinstance(loop, _LOOPS)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Call)
+            and (
+                isinstance(node.func, ast.Name) and node.func.id == "_real"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "_real"
+            )
+        }
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_sequences_of_reals_are_checked_in_core(path):
+    lines = real_checks_in_loops(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} checks reals in a loop at lines {lines}; use core._reals"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "for x in b:\n    _real(x, 'a b component', 0)",
+        "for p in points:\n    for x in p:\n        _real(x, 'a coordinate')",
+        "ok = [_real(x, 'an entry') for x in seq]",
+        "all(core._real(x, 'w') is None for x in ws)",
+        "{k: _real(v, k) for k, v in kw.items()}",
+        "while seq:\n    _real(seq.pop(), 'an entry')",
+        "for x in (*alpha, *beta):\n    if x:\n        _real(x, 'a component')",
+    ],
+)
+def test_real_loop_lint_rejects(source):
+    assert real_checks_in_loops(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "_real(self.a, 'a')",
+        "b = _reals(self.b, 'b', 'a b component', 0)",
+        "points = [_reals(p, 'an atom', 'a coordinate') for p in _sequence(pts, 'atoms')]",
+        "for x in xs:\n    _real_vector(x, 2)",
+        "for x in xs:\n    y = x.real",
+        "ok = all(map(_finite_real, t))",
+    ],
+)
+def test_real_loop_lint_accepts(source):
+    assert not real_checks_in_loops(ast.parse(source))

@@ -22,7 +22,12 @@ configs as `LimitConfig` and `QuadratureConfig` instances, or raise
 `InvalidArgumentError` before any work, and so do the two public
 quadratures, `integrate_line` and `integrate_rn`: integrate_rn's n follows
 the dimension rule and integrate_line's `complex_func` is None or a bool,
-checked before the integrand is called.
+checked before the integrand is called.  A caller's sequence (an atom's
+points and weights, a curve's alpha and beta, a Herglotz b, a config's
+ladders, a kernel's t, product factors, sum terms) is any iterable but a
+str, and junk in any data argument of a public constructor, config or
+point entry raises the library's error or gives a result, never a raw
+TypeError, ValueError or AttributeError.
 """
 
 import json
@@ -30,16 +35,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyherglotz import (
     Atomic,
     CauchyTypeFunction,
     ClosedFormFunction,
     CurvePushforward,
+    CutPlanePoint,
     DensityDescriptor,
     HerglotzFunction,
     HerglotzTriple,
     InvalidArgumentError,
+    PolyherglotzError,
+    ProductDensity,
+    TestFunction,
     InvalidMeasureError,
     InvalidPointError,
     LebesgueScaled,
@@ -50,14 +60,17 @@ from polyherglotz import (
     catalogue,
     characterize,
     check_growth,
+    cauchy_weight,
     constant_density,
     evaluate_cauchy,
     full_symmetry_sum,
+    function_from_dict,
     gaussian_density,
     integrate,
     kernel_K,
     kernel_K1_closed,
     kernel_symmetry_residual,
+    measure_from_dict,
     measure_to_json,
     n_factor,
     nevanlinna_residual,
@@ -68,6 +81,7 @@ from polyherglotz import (
     poisson,
     poisson_alternating_sum,
     positivity_check,
+    rational_density,
     reconstruct_from_upper,
     restrict_to_upper,
     richardson_tableau,
@@ -77,10 +91,16 @@ from polyherglotz import (
     symmetry_check,
     symmetry_residual,
 )
-from polyherglotz.analysis import _LinearlyShifted, alternating_boundary_sum
+from polyherglotz.analysis import alternating_boundary_sum
 from polyherglotz.cli import main
 from polyherglotz.core import MAX_DIMENSION
-from polyherglotz.measures import _curve_pair_integral, measure_to_dict, pair_integral
+from polyherglotz.functions import _Affine
+from polyherglotz.measures import (
+    _curve_pair_integral,
+    density_from_dict,
+    measure_to_dict,
+    pair_integral,
+)
 from polyherglotz.quadrature import integrate_line, integrate_rn
 from conftest import count_calls
 
@@ -101,7 +121,7 @@ POINT_ENTRIES = {
     "ClosedFormFunction.__call__": F2,
     "ClosedFormFunction.evaluate": F2.evaluate,
     "UpperRestriction.evaluate": restrict_to_upper(F2).evaluate,
-    "_LinearlyShifted.__call__": _LinearlyShifted(F2, (0.0, 1.0)),
+    "_Affine.__call__": _Affine(F2, 0.0, (-0.0, -1.0)),
     "symmetry_residual": lambda z: symmetry_residual(F2, z),
     "full_symmetry_sum": lambda z: full_symmetry_sum(F2, z),
     "reconstruct_from_upper": lambda z: reconstruct_from_upper(restrict_to_upper(F2), z),
@@ -577,3 +597,140 @@ def test_measure_arguments_reject_a_non_measure(entry, mu):
     with pytest.raises(InvalidArgumentError, match="unknown measure variant") as info:
         MEASURE_ENTRIES[entry](mu)
     assert info.type is InvalidArgumentError
+
+
+# --- junk data ------------------------------------------------------------------------
+
+#: What a caller may pass by mistake where data is due: 1j is junk where a
+#: real is due, and fed to every data argument alike.
+JUNK = [None, 5, "ab", [[None]], {}, 1j]
+
+F7 = catalogue("f7")
+TRIPLE1 = HerglotzTriple(0.0, (0.0,), LAMBDA1)
+
+#: Every public constructor, config and point entry, and the sampled checks
+#: and the Richardson tableau, with valid values of its data arguments.
+#: Arguments that are functions (f, phi, integrands) stay duck-typed.
+JUNK_ENTRIES = {
+    "DensityDescriptor": (DensityDescriptor, ["constant", (1.0,)]),
+    "constant_density": (constant_density, [1.0]),
+    "gaussian_density": (gaussian_density, [0.0, 1.0]),
+    "rational_density": (rational_density, ["cauchy_squared"]),
+    "density_from_dict": (density_from_dict, [{"form": "constant", "c": 1.0}]),
+    "Atomic": (Atomic, [((0.5,),), (1.0,), 1]),
+    "LebesgueScaled": (LebesgueScaled, [1.0, 1]),
+    "ProductDensity": (ProductDensity, [(W, cauchy_weight())]),
+    "CurvePushforward": (CurvePushforward, [(1.0,), (0.0,), W, 1.0]),
+    "MeasureSum": (MeasureSum, [(LAMBDA1,)]),
+    "measure_from_dict": (measure_from_dict, [measure_to_dict(LAMBDA1)]),
+    "HerglotzTriple": (HerglotzTriple, [0.0, (0.0,), LAMBDA1]),
+    "CauchyTypeFunction": (CauchyTypeFunction, [LAMBDA1]),
+    "HerglotzFunction": (HerglotzFunction, [TRIPLE1]),
+    "ClosedFormFunction": (ClosedFormFunction, ["x", 2, {}, None]),
+    "catalogue": (catalogue, ["f2"]),
+    "function_from_dict": (function_from_dict, [{"type": "catalogue", "id": "f2"}]),
+    "phi_cauchy": (phi_cauchy, [2]),
+    "phi_gaussian": (phi_gaussian, [2, 1.0]),
+    "TestFunction": (lambda *a: TestFunction(*a, math.exp), ["x", 1, 1.0]),
+    "LimitConfig": (LimitConfig, [0.5, (8.0, 16.0), (0.5, 0.25)]),
+    "QuadratureConfig": (QuadratureConfig, [1e-10, 1e-9]),
+    "point": (point, [1j, -1j]),
+    "CutPlanePoint": (CutPlanePoint, [(1j, -1j)]),
+    "CauchyTypeFunction.__call__": (LAMBDA2, [(1j, -1j)]),
+    "CauchyTypeFunction.evaluate": (LAMBDA2.evaluate, [(1j, -1j)]),
+    "HerglotzFunction.__call__": (HERGLOTZ2, [(1j, -1j)]),
+    "HerglotzFunction.evaluate": (HERGLOTZ2.evaluate, [(1j, -1j)]),
+    "ClosedFormFunction.__call__": (F2, [(1j, -1j)]),
+    "ClosedFormFunction.evaluate": (F2.evaluate, [(1j, -1j)]),
+    "UpperRestriction.evaluate": (restrict_to_upper(F2).evaluate, [(1j, 1j)]),
+    "evaluate_cauchy": (evaluate_cauchy, [LAMBDA1, (1j,)]),
+    "kernel_K": (kernel_K, [(1j, -1j), T2]),
+    "kernel_K1_closed": (kernel_K1_closed, [1j, 0.3]),
+    "n_factor": (n_factor, [1, 1j, 0.3]),
+    "poisson": (poisson, [(1j, 1j), T2]),
+    "kernel_symmetry_residual": (kernel_symmetry_residual, [(1j, -1j), T2]),
+    "poisson_alternating_sum": (poisson_alternating_sum, [(1j, 1j), T2]),
+    "nevanlinna_residual": (nevanlinna_residual, [LebesgueScaled(1.0, 2), (1j, 1j)]),
+    "check_growth": (check_growth, [LAMBDA1]),
+    "symmetry_residual": (lambda z: symmetry_residual(F2, z), [(1j, -1j)]),
+    "full_symmetry_sum": (lambda z: full_symmetry_sum(F2, z), [(1j, -1j)]),
+    "reconstruct_from_upper": (
+        lambda z: reconstruct_from_upper(restrict_to_upper(F2), z), [(1j, -1j)]
+    ),
+    "stoltz_limit": (
+        lambda *a: stoltz_limit(F2, *a), [1, (1j, 1j), LimitConfig(), "upper", 1]
+    ),
+    "alternating_boundary_sum": (lambda *a: alternating_boundary_sum(F2, *a), [T2, 0.5]),
+    "symmetry_check": (lambda *a: symmetry_check(F7, *a), [1e-9, 0]),
+    "positivity_check": (lambda *a: positivity_check(F7, *a), [1e-9, 0]),
+    "nondependence_test": (lambda *a: nondependence_test(F7, *a), [1e-9]),
+    "characterize": (lambda *a: characterize(F7, *a), [LimitConfig(), 0]),
+    "stieltjes_classic": (
+        lambda *a: stieltjes_classic(restrict_to_upper(F2), phi_cauchy(2), *a),
+        [LimitConfig(), QuadratureConfig(), 5e-4],
+    ),
+    "stieltjes_cauchy_type": (
+        lambda *a: stieltjes_cauchy_type(F2, phi_cauchy(2), *a),
+        [LimitConfig(), QuadratureConfig(), 5e-4],
+    ),
+    "richardson_tableau": (richardson_tableau, [[1.0, 2.0], [1.0, 0.5], 1]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(JUNK_ENTRIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_junk_data_raises_the_library_error_or_gives_a_result(entry, data):
+    make, args = JUNK_ENTRIES[entry]
+    k = data.draw(st.integers(0, len(args) - 1), label="argument")
+    args = [*args[:k], data.draw(st.sampled_from(JUNK), label="junk"), *args[k + 1 :]]
+    try:
+        make(*args)
+    except PolyherglotzError:
+        pass
+
+
+#: Malformed data, each call with the error class of its entry, which the
+#: point and sequence rules of `core` raise in place of a raw TypeError,
+#: ValueError or AttributeError.
+MALFORMED_CALLS = {
+    'point("abc")': (lambda: point("abc"), InvalidPointError),
+    "point(None)": (lambda: point(None), InvalidPointError),
+    "CutPlanePoint(5)": (lambda: CutPlanePoint(5), InvalidPointError),
+    "stoltz_limit base": (lambda: stoltz_limit(F2, 1, 5), InvalidPointError),
+    "reconstruct_from_upper": (lambda: reconstruct_from_upper(F2, 5), InvalidPointError),
+    "nevanlinna_residual": (lambda: nevanlinna_residual(LAMBDA1, 5), InvalidPointError),
+    "kernel_K t": (lambda: kernel_K((1j,), 5), InvalidArgumentError),
+    "Atomic points": (lambda: Atomic(5, (1.0,)), InvalidMeasureError),
+    "Atomic weights": (lambda: Atomic(((0.5,),), None), InvalidMeasureError),
+    "CurvePushforward alpha": (lambda: CurvePushforward(5, (0.0,), W), InvalidMeasureError),
+    "HerglotzTriple b": (lambda: HerglotzTriple(0.0, 5, LAMBDA1), InvalidArgumentError),
+    "ProductDensity": (lambda: ProductDensity(5), InvalidMeasureError),
+    "MeasureSum": (lambda: MeasureSum(5), InvalidMeasureError),
+    "ClosedFormFunction branches": (
+        lambda: ClosedFormFunction("x", 2, None), InvalidArgumentError
+    ),
+    "rational_density": (lambda: rational_density(["x"]), InvalidMeasureError),
+    "richardson_tableau": (lambda: richardson_tableau(5, [1.0], 1), InvalidArgumentError),
+    "HerglotzFunction": (lambda: HerglotzFunction(None), InvalidArgumentError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CALLS))
+def test_malformed_data_raises_the_entry_error(name):
+    call, error = MALFORMED_CALLS[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_a_caller_sequence_is_any_iterable_but_a_str():
+    assert Atomic([[0.5]], iter([2])) == Atomic(((0.5,),), (2.0,))
+    assert HerglotzTriple(0, [1], LAMBDA1).b == (1.0,)
+    assert LimitConfig(radius_sequence=[8, 16]).radius_sequence == (8, 16)
+    for make in (
+        lambda: Atomic(["ab"], (1.0,)),
+        lambda: CurvePushforward("1", (0.0,), W),
+        lambda: MeasureSum("ab"),
+    ):
+        with pytest.raises(InvalidMeasureError, match="must be a sequence, got"):
+            make()

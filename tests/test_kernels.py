@@ -123,6 +123,35 @@ def test_n_factor_validation():
         n_factor(0, 1.0, 0.0)
 
 
+#: The six kernel entries at a one-variable z, with t = 0.3 on its axis.
+ONE_VARIABLE_ENTRIES = {
+    "kernel_K1_closed": lambda z: kernel_K1_closed(z, 0.3),
+    "n_factor": lambda z: n_factor(1, z, 0.3),
+    "kernel_K": lambda z: kernel_K(z, (0.3,)),
+    "poisson": lambda z: poisson(z, (0.3,)),
+    "kernel_symmetry_residual": lambda z: kernel_symmetry_residual(z, (0.3,)),
+    "poisson_alternating_sum": lambda z: poisson_alternating_sum(z, (0.3,)),
+}
+SCALAR_Z_ENTRIES = ("kernel_K1_closed", "n_factor")
+
+
+@pytest.mark.parametrize("entry", sorted(ONE_VARIABLE_ENTRIES))
+def test_two_kernel_entries_read_a_scalar_z_and_four_take_a_point(entry):
+    """kernel_K1_closed and n_factor read a scalar z as the point (z,); the
+    other four take a point or its coordinates and refuse a scalar with the
+    library's point error."""
+    call, z = ONE_VARIABLE_ENTRIES[entry], 0.4 + 1.2j
+    scalar, whole = (z, (z,)) if entry in SCALAR_Z_ENTRIES else ((z,), z)
+    assert math.isfinite(abs(call(scalar)))
+    with pytest.raises(InvalidPointError):
+        call(whole)
+
+
+def test_kernel_K1_closed_is_kernel_K_at_the_point_z():
+    z = 0.4 + 1.2j
+    assert abs(kernel_K1_closed(z, 0.3) - kernel_K((z,), (0.3,))) < 1e-15
+
+
 def test_kernel_product_form_n2_consistency(rng):
     # K_2 assembled by hand from A-factors matches kernel_K
     def a_factor(z, t):

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from polyherglotz import (
@@ -137,6 +138,35 @@ def test_gaussian_density_normalized():
     mu = ProductDensity((gaussian_density(1.5, 2.0),))
     val, _ = integrate(mu, lambda x: 1.0)
     assert abs(val - 1.0) < 1e-9
+
+
+def gaussian_cauchy_transform_v0(w, z):
+    """The Gaussian's Cauchy transform as first written: scipy's wofz in
+    numpy arithmetic on C+, and conj C(conj z) on C-."""
+    from scipy.special import wofz
+
+    if z.imag < 0:
+        return gaussian_cauchy_transform_v0(w, z.conjugate()).conjugate()
+    m, s = w.params
+    return complex(1j * PI * wofz((z - m) / (s * math.sqrt(2.0))) / (s * math.sqrt(2.0 * PI)))
+
+
+@pytest.mark.parametrize("w", [gaussian_density(0.4, 0.7), gaussian_density(-1.3, 2.5),
+                               gaussian_density(0.0, 0.25)], ids=repr)
+def test_gaussian_cauchy_transform_is_bit_identical(w):
+    """`_faddeeva` gives the same bits on both half-planes as conjugating
+    wofz from C+: on and near the mean's vertical, near the axis and far out."""
+    rng = np.random.default_rng(20261021)
+    m = w.params[0]
+    for k in range(6000):
+        re = (m, rng.normal(scale=3.0), rng.normal(scale=300.0))[k % 3]
+        im = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, 2.5)
+        z = complex(re, im)
+        assert repr(w._cauchy_transform(z)) == repr(gaussian_cauchy_transform_v0(w, z)), z
+        p, q = z, complex(rng.normal(), -im)
+        assert repr(w.pair_integral(p, q)) == repr(
+            (gaussian_cauchy_transform_v0(w, p) - gaussian_cauchy_transform_v0(w, q)) / 2j
+        )
 
 
 def test_rational_density_table():

@@ -38,7 +38,6 @@ from polyherglotz.analysis import (
     _EXTRAPOLATION_ORDER,
     _INVERSION_QUAD,
     DEFAULT_LIMITS,
-    _LinearlyShifted,
     _stieltjes,
     CheckReport,
     alternating_boundary_sum,
@@ -54,7 +53,7 @@ from polyherglotz.analysis import (
     symmetry_residual,
 )
 from polyherglotz.core import _Function
-from polyherglotz.functions import ClosedFormFunction, UpperRestriction
+from polyherglotz.functions import ClosedFormFunction, UpperRestriction, _Affine
 from conftest import count_calls
 
 # --- oracles -----------------------------------------------------------------
@@ -343,7 +342,7 @@ AT_FUNCTIONS = {
         HerglotzTriple(0.3, (0.0, 2.0, 0.5), LebesgueScaled(1.0, 3))
     ),
     "f4_upper": restrict_to_upper(catalogue("f4")),
-    "f4_shifted": _LinearlyShifted(catalogue("f4"), (0.5, 2.0)),
+    "f4_shifted": _Affine(catalogue("f4"), 0.0, (-0.5, -2.0)),
 }
 
 
@@ -546,7 +545,7 @@ CHECK_FUNCTIONS = {
         HerglotzTriple(0.3, (0.0, 2.0), LebesgueScaled(1.0, 2))
     ),
     "f4_upper": restrict_to_upper(catalogue("f4")),
-    "f4_shifted": _LinearlyShifted(catalogue("f4"), (0.5, 2.0)),
+    "f4_shifted": _Affine(catalogue("f4"), 0.0, (-0.5, -2.0)),
 }
 
 CHECKS = {
@@ -631,7 +630,7 @@ def test_characterize_builds_its_base_and_its_witnesses(monkeypatch, fid):
 
 @pytest.mark.parametrize(
     "cls",
-    [CauchyTypeFunction, HerglotzFunction, ClosedFormFunction, UpperRestriction, _LinearlyShifted],
+    [CauchyTypeFunction, HerglotzFunction, ClosedFormFunction, UpperRestriction, _Affine],
     ids=lambda c: c.__name__,
 )
 def test_call_is_defined_once_in_core(cls):

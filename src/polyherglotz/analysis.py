@@ -6,16 +6,22 @@ is), and Stieltjes inversion, classical or alternating (full cut-plane).
 
 All checks are sampled: universal statements are reported over documented
 deterministic grids plus seeded random points, never "proved": symmetry at
-50 seeded points per component, positivity on the 35-value axis grid to
-the power n (6 values for n > 2) plus 200 seeded points of C+^n, and
-non-dependence at 3 lower bases times 5 upper probes per mixed signature.
-Each check resolves its function on coordinate tuples once, evaluates
-every sample as a tuple and builds a point only for a witness it returns.
+50 seeded points of C+^n and their reflections into every component,
+positivity on the 35-value axis grid to the power n (for n > 2, the
+6-value axis on each pair of axes, the others at i) plus 200 seeded points
+of C+^n, and non-dependence at 3 lower bases times 5 upper probes per mixed
+signature.  The symmetry sums of one seeded point's 2^n reflections read
+only 3^n - 1 distinct values, and each is computed once.  Each check
+resolves its function on coordinate tuples once, evaluates every sample as
+a tuple and builds a point only for a witness it returns.  A Cauchy-type
+function of a curve measure evaluates by one line quadrature whose two
+passes share their nodes in theta (`measures.pair_integral`).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -24,6 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    _SIGNS,
+    MAX_DIMENSION,
     MIN_IMAG,
     CutPlanePoint,
     _config,
@@ -35,6 +43,7 @@ from .core import (
     _real,
     _real_vector,
     _reals,
+    _reflections,
     _sequence,
     alternating_sum,
     symmetry_sum,
@@ -164,12 +173,8 @@ def full_symmetry_sum(f, z: CutPlanePoint) -> complex:
 def symmetry_residual(f, z: CutPlanePoint) -> float:
     """|f(z) - symmetry sum|; zero for symmetric extensions with b = 0."""
     z = _point(z)
-    return _symmetry_residual(_on_coords(f, z.n), z.coords)
-
-
-def _symmetry_residual(g, zs: tuple) -> float:
-    """`symmetry_residual` unchecked, for f on coordinate tuples."""
-    return abs(complex(g(zs)) - symmetry_sum(g, zs))
+    g = _on_coords(f, z.n)
+    return abs(complex(g(z.coords)) - symmetry_sum(g, z.coords))
 
 
 def _random_point(rng, signs, re: float, im: tuple) -> tuple:
@@ -203,21 +208,61 @@ _POINTS_PER_COMPONENT = 50
 
 
 def symmetry_check(f, tol: float = 1e-9, seed: int = DEFAULT_SEED) -> CheckReport:
-    """Sample the symmetry formula at 50 seeded points on every connected
-    component."""
+    """Sample the symmetry formula at 50 seeded points of C+^n and at their
+    2^n reflections, one in each connected component (`_orbit_samples`)."""
     _integer(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
-    g = _on_coords(f, f.dimension)
-    points = (
-        _random_point(rng, signs, 3.0, (0.1, 3.0))
-        for signs in itertools.product((1, -1), repeat=f.dimension)
-        for _ in range(_POINTS_PER_COMPONENT)
-    )
     return _sampled_report(
-        ((zs, _symmetry_residual(g, zs)) for zs in points),
+        _orbit_samples(_on_coords(f, f.dimension), f.dimension, seed),
         tol,
         {"points_per_component": _POINTS_PER_COMPONENT, "seed": seed},
     )
+
+
+def _orbit_samples(g, n: int, seed: int):
+    """(reflection, symmetry residual) for each of the 2^n reflections of
+    each seeded point z of C+^n, orbit by orbit, reflections in bitmask order.
+
+    The symmetry sums of an orbit read g only where every coordinate is i,
+    z_j or conj z_j, not all i: 3^n - 1 points, each evaluated once and
+    indexed by its base-3 digits (0, 1, 2 for i, z_j, conj z_j).  Every
+    residual sums its terms in `symmetry_sum`'s order, so it is
+    `symmetry_residual` at its reflection to the bit.
+    """
+    rng = np.random.default_rng(seed)
+    signs, table = _orbit_table(n)
+    for _ in range(_POINTS_PER_COMPONENT):
+        z = _random_point(rng, (1,) * n, 3.0, (0.1, 3.0))
+        points = _reflections([(1j, c, c.conjugate()) for c in z])
+        values = [None] + [g(w) for w in points[1:]]  # i*1 is never read
+        conj = [None] + [v.conjugate() for v in values[1:]]
+        for own, terms in table:
+            total = 0j
+            for sign, k in zip(signs, terms):
+                total += sign * conj[k]
+            yield points[own], abs(complex(values[own]) - total)
+
+
+@functools.lru_cache(maxsize=MAX_DIMENSION)
+def _orbit_table(n: int) -> tuple:
+    """(signs, table) of the symmetry sums of an orbit.
+
+    `signs` holds the sign -(-1)^|B| of each nonempty B in bitmask order.
+    `table` holds, for each reflection mask M (bit j: conj z_j on axis j)
+    in bitmask order, the base-3 index of the reflection and the indices
+    of its terms Psi_B(i*1, reflection), B in bitmask order, whose axis j
+    in B takes the conjugate of the reflection's coordinate: z_j where M
+    conjugates it, conj z_j elsewhere.
+    """
+    table = []
+    for m in range(1 << n):
+        conjugated = [m >> j & 1 for j in range(n)]
+        own = sum((1 + c) * 3**j for j, c in enumerate(conjugated))
+        terms = tuple(
+            sum((2 - c) * 3**j for j, c in enumerate(conjugated) if b >> j & 1)
+            for b in range(1, 1 << n)
+        )
+        table.append((own, terms))
+    return tuple(-s for s in _SIGNS[n][1:]), tuple(table)
 
 
 _LOWER_BASES = (-0.5 - 0.8j, 1.3 - 0.45j, -2.1 - 2.2j)
@@ -257,15 +302,23 @@ def _nondependence_samples(f, probes: int):
 
 
 def _probe_points(n: int, samples: int, seed: int):
-    """A fixed C+^n grid, then `samples` seeded log-uniform points, as tuples."""
+    """A fixed C+^n grid, then `samples` seeded log-uniform points, as tuples.
+
+    The grid is the 35-value axis to the power n for n <= 2; for n > 2 it
+    is the 6-value axis on each pair of axes, the others at i: C(n, 2) * 36
+    points, not 6^n.
+    """
     if n <= 2:
         res = (-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 4.0)
-        ims = (0.1, 0.5, 1.0, 2.0, 4.0)
+        axis = [complex(x, y) for x in res for y in (0.1, 0.5, 1.0, 2.0, 4.0)]
+        yield from itertools.product(axis, repeat=n)
     else:
-        res = (-2.0, 0.0, 2.0)
-        ims = (0.1, 1.0)
-    axis = [complex(x, y) for x in res for y in ims]
-    yield from itertools.product(axis, repeat=n)
+        axis = [complex(x, y) for x in (-2.0, 0.0, 2.0) for y in (0.1, 1.0)]
+        for j, k in itertools.combinations(range(n), 2):
+            for a, b in itertools.product(axis, repeat=2):
+                zs = [1j] * n
+                zs[j], zs[k] = a, b
+                yield tuple(zs)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         yield _random_point(rng, (1,) * n, 6.0, (0.05, 10.0))

@@ -9,8 +9,9 @@ on C+^n only; `_real` checks every real parameter (a finite real, not a
 bool, in range, or the caller's error class), `_height` the y of a
 Stieltjes boundary point, `_sequence` every caller's sequence (any iterable
 but a str), `_reals` one of reals, `_real_vector` a kernel's t and a
-boundary point's x, `_integer` every integer parameter, `_dimension` every
-declared dimension and `_config` every config argument.  `_Function`, the
+boundary point's x, `_pole_pairs` the pole pairs of a pair integral,
+`_integer` every integer parameter, `_dimension` every declared dimension
+and `_config` every config argument.  `_Function`, the
 calling convention of every function family, checks a point once and hands
 its coordinates to the family's `_at`.  Points the library makes itself are
 never built: `_on_coords` hands their tuples to `_at`, and a sampled check
@@ -114,6 +115,28 @@ def _reals(seq, what: str, entry: str, lo=-math.inf, error=InvalidArgumentError,
     for x in seq:
         _real(x, entry, lo, error=error, open_lo=open_lo)
     return seq
+
+
+def _pole_pairs(pairs) -> list:
+    """pairs as a list of (p, q) complex pairs, or `InvalidArgumentError`
+    unless it is a sequence of 2-entry sequences of finite complex numbers
+    off the real axis (|Im| >= MIN_IMAG, a point coordinate's rule)."""
+    out = []
+    for pair in _sequence(pairs, "pairs"):
+        pair = _sequence(pair, "a pole pair")
+        if len(pair) != 2 or not all(map(_pole, pair)):
+            raise InvalidArgumentError(
+                f"a pole pair must hold two finite nonreal complex numbers, got {pair!r}"
+            )
+        out.append((complex(pair[0]), complex(pair[1])))
+    return out
+
+
+def _pole(c) -> bool:
+    """Whether c is a finite complex number with |Im c| >= MIN_IMAG."""
+    return (
+        isinstance(c, numbers.Complex) and cmath.isfinite(c) and abs(complex(c).imag) >= MIN_IMAG
+    )
 
 
 def _real_vector(t, n: int) -> tuple:

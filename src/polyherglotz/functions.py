@@ -25,8 +25,9 @@ exact for every measure, which construction reads once from
 the measure's, so it skips `pair_integral`'s check of the pair count.
 Product measures are thereby exact, atomic measures are summed, and
 curve measures take one line quadrature per evaluation, at the
-`quadrature` module's default tolerances, whose two `quad` passes share
-the integrand's node values: no function takes a quadrature setting.
+`quadrature` module's default tolerances, whose two passes (the real part,
+then the imaginary part) share the nodes in theta: no function takes a
+quadrature setting.
 Building a function runs no quadrature.
 
 Every function object exposes `measure`: the defining measure of a
@@ -38,7 +39,6 @@ quadrature hints from it (`measures.boundary_hints`).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,6 +51,7 @@ from .measures import (
     Measure,
     MeasureSum,
     ProductDensity,
+    _loads,
     _measure,
     _pair_integral,
     _require_fields,
@@ -328,4 +329,4 @@ def _function_from_dict(obj: dict):
 
 
 def function_from_json(text: str):
-    return function_from_dict(json.loads(text))
+    return function_from_dict(_loads(text, "a function descriptor"))

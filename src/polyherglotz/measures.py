@@ -24,8 +24,9 @@ that way and every other term by `_pair_integral`'s exact branches
 (`_residual`), so neither runs a quadrature for any measure of the family.
 `pair_integral`'s curve branch is still one line quadrature, the oracle of
 the exact one; in the library only a Cauchy-type function's evaluation
-against a curve runs it (`functions`).  Its two `quad` passes share the
-integrand's node values.
+against a curve runs it (`functions`).  It runs its own two passes, the
+real part then the imaginary part, and the second reads every node in
+theta that the first computed.
 `boundary_hints` tells Stieltjes inversion where a measure's singular part
 puts spikes on each integration axis at height y, and how wide they are.
 scipy's Faddeeva function is imported by the first Gaussian density that
@@ -43,10 +44,19 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import MAX_DIMENSION, CutPlanePoint, _dimension, _real, _reals, _sequence, _upper
+from .core import (
+    MAX_DIMENSION,
+    CutPlanePoint,
+    _dimension,
+    _pole_pairs,
+    _real,
+    _reals,
+    _sequence,
+    _upper,
+)
 from .errors import DivergenceError, InvalidArgumentError, InvalidMeasureError
 from .kernels import _n_pairs, _pair
-from .quadrature import integrate_line, integrate_rn
+from .quadrature import DEFAULT_CONFIG, _line, integrate_line, integrate_rn
 
 # name -> (density w(t), its Cauchy transform C(z) for Im z > 0, and the
 # poles of w in C+ with their multiplicity: w(t) = 1 / prod (t - a)(t - conj a))
@@ -675,14 +685,16 @@ def pair_integral(mu: Measure, pairs: Sequence[tuple]):
 
     `pairs` holds one (p_l, q_l) per axis.  Returns (value, error_estimate);
     every variant but the curve is exact and reports 0.0.  The curve takes
-    one line quadrature at the `quadrature` module's default tolerances:
-    `quad`'s two passes, one per part, share the integrand's values, so a
-    node that both passes visit is computed once.
-    Any other number of pairs than the measure's dimension, checked once per
-    call, raises `InvalidArgumentError`, and so does a curve slope too
-    small for double precision (`_slope_out_of_range`).
+    one line quadrature at the `quadrature` module's default tolerances, in
+    two passes, one per part: the imaginary pass reads each node in theta
+    that the real pass computed, so a node both visit is computed once.
+    The pairs are checked once per call (`core._pole_pairs`): pairs that
+    are not two finite nonreal complex numbers, or any other number of
+    them than the measure's dimension, raise `InvalidArgumentError`, and so
+    does a curve slope too small for double precision (`_slope_out_of_range`).
     """
     _measure(mu)
+    pairs = _pole_pairs(pairs)
     if len(pairs) != mu.dimension:
         raise InvalidArgumentError(
             f"pair_integral needs one pole pair per axis: got {len(pairs)} "
@@ -725,21 +737,28 @@ def _pair_integral(mu: Measure, pairs: Sequence[tuple]):
         return _slope_out_of_range(mu, pairs), 0.0
     poles = list(zip(nodes[::2], nodes[1::2]))
     w = mu.weight._fn
-    # quad's imaginary pass revisits most of the real pass's nodes;
-    # each node is computed once per call and read back after that
+    # the imaginary pass revisits most of the real pass's nodes: each
+    # node's complex integrand is computed once per call, keyed by theta
     values = {}
 
-    def g(s):
-        v = values.get(s)
-        if v is None:
-            v = w(s)
-            for p, q in poles:
-                v *= 1.0 / (s - p) - 1.0 / (s - q)
-            values[s] = v
-        return v
+    def real(theta):
+        t = math.tan(theta)
+        v = w(t)
+        for p, q in poles:
+            v *= 1.0 / (t - p) - 1.0 / (t - q)
+        values[theta] = v = v * (1.0 + t * t)
+        return v.real
 
-    val, err = integrate_line(g, singularities=_near_axis(poles), complex_func=True)
-    return const * val, abs(const) * err
+    def imag(theta):
+        if theta not in values:
+            real(theta)
+        return values[theta].imag
+
+    hints = _near_axis(poles)
+    re, re_err = _line(real, DEFAULT_CONFIG, hints, False)
+    im, im_err = _line(imag, DEFAULT_CONFIG, hints, False)
+    # combined as scipy's `quad` combines the two passes of a complex integrand
+    return const * (re + 1j * im), abs(const) * abs(re_err + 1j * im_err)
 
 
 def _curve_substitution(mu: CurvePushforward, pairs: Sequence[tuple]):
@@ -977,8 +996,16 @@ def measure_to_dict(mu: Measure) -> dict:
     return {"type": "sum", "terms": [measure_to_dict(t) for t in mu.terms]}
 
 
+def _loads(text, what: str):
+    """json.loads(text), or `InvalidArgumentError` unless text is JSON text."""
+    try:
+        return json.loads(text)
+    except (TypeError, ValueError) as e:
+        raise InvalidArgumentError(f"{what} is not JSON text ({type(e).__name__}: {e})") from None
+
+
 def measure_from_json(text: str) -> Measure:
-    return measure_from_dict(json.loads(text))
+    return measure_from_dict(_loads(text, "a measure descriptor"))
 
 
 def measure_to_json(mu: Measure) -> str:

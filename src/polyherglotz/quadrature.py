@@ -31,7 +31,10 @@ is still the outermost estimate only.
 Whether an integrand is complex is read once per call from its value at
 the origin, by `integrate_rn` for all of its lines; a real integrand then
 takes one pass on every line and gives a float, the same number as the
-real part of the two-pass result.
+real part of the two-pass result.  The curve branch of
+`measures.pair_integral` runs its own two passes, two real `_line` calls
+whose second reads the nodes the first computed; every other complex
+integrand keeps scipy's two passes.
 
 scipy is imported by the first `quad` call, not by this module, so a
 process that runs no quadrature never loads it.

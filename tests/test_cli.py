@@ -228,10 +228,9 @@ def test_invert_applies_the_quadrature_section_to_the_inversion_only(
     line_cfgs, rules = [], []
 
     def record_line(*args, **kwargs):
-        bound = inspect.signature(quadrature.integrate_line).bind(*args, **kwargs)
-        bound.apply_defaults()
+        bound = inspect.signature(quadrature._line).bind(*args, **kwargs)
         line_cfgs.append(bound.arguments["cfg"])
-        return quadrature.integrate_line(*args, **kwargs)
+        return quadrature._line(*args, **kwargs)
 
     def one_node(integrand, n, quad, hints=None):
         # the rule is recorded and MU2 evaluated at one ladder point; a full
@@ -239,7 +238,7 @@ def test_invert_applies_the_quadrature_section_to_the_inversion_only(
         rules.append(quad)
         return integrand((0.25,) * n), 0.0
 
-    monkeypatch.setattr(measures, "integrate_line", record_line)
+    monkeypatch.setattr(measures, "_line", record_line)
     monkeypatch.setattr(analysis, "integrate_rn", one_node)
     rule = {"abs_tol": 1e-6, "rel_tol": 1e-5}
     path = tmp_path / "config.json"

@@ -26,8 +26,10 @@ checked before the integrand is called.  A caller's sequence (an atom's
 points and weights, a curve's alpha and beta, a Herglotz b, a config's
 ladders, a kernel's t, product factors, sum terms) is any iterable but a
 str, and junk in any data argument of a public constructor, config or
-point entry raises the library's error or gives a result, never a raw
-TypeError, ValueError or AttributeError.
+point entry, of `pair_integral` or of the JSON readers raises the
+library's error or gives a result, never a raw TypeError, ValueError or
+AttributeError.  A pole pair is two finite complex numbers off the real
+axis, by the rule of a point's coordinates.
 """
 
 import json
@@ -54,6 +56,7 @@ from polyherglotz import (
     InvalidPointError,
     LebesgueScaled,
     LimitConfig,
+    MU2,
     MeasureSum,
     QuadratureConfig,
     analysis,
@@ -65,12 +68,14 @@ from polyherglotz import (
     evaluate_cauchy,
     full_symmetry_sum,
     function_from_dict,
+    function_from_json,
     gaussian_density,
     integrate,
     kernel_K,
     kernel_K1_closed,
     kernel_symmetry_residual,
     measure_from_dict,
+    measure_from_json,
     measure_to_json,
     n_factor,
     nevanlinna_residual,
@@ -674,6 +679,9 @@ JUNK_ENTRIES = {
         [LimitConfig(), QuadratureConfig(), 5e-4],
     ),
     "richardson_tableau": (richardson_tableau, [[1.0, 2.0], [1.0, 0.5], 1]),
+    "pair_integral": (pair_integral, [LAMBDA1, [(1j, -1j)]]),
+    "function_from_json": (function_from_json, ['{"type": "catalogue", "id": "f2"}']),
+    "measure_from_json": (measure_from_json, [measure_to_json(LAMBDA1)]),
 }
 
 
@@ -713,6 +721,16 @@ MALFORMED_CALLS = {
     "rational_density": (lambda: rational_density(["x"]), InvalidMeasureError),
     "richardson_tableau": (lambda: richardson_tableau(5, [1.0], 1), InvalidArgumentError),
     "HerglotzFunction": (lambda: HerglotzFunction(None), InvalidArgumentError),
+    "pair_integral 5": (lambda: pair_integral(LAMBDA1, 5), InvalidArgumentError),
+    "pair_integral [[None]]": (lambda: pair_integral(LAMBDA1, [[None]]), InvalidArgumentError),
+    "pair_integral [(None, None)]": (
+        lambda: pair_integral(LAMBDA1, [(None, None)]), InvalidArgumentError
+    ),
+    "pair_integral real pole": (
+        lambda: pair_integral(MU2, [(1j, -1j), (0.5, -1j)]), InvalidArgumentError
+    ),
+    "function_from_json(None)": (lambda: function_from_json(None), InvalidArgumentError),
+    "measure_from_json(5)": (lambda: measure_from_json(5), InvalidArgumentError),
 }
 
 

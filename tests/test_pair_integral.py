@@ -178,23 +178,26 @@ def test_curve_pair_integral_is_bit_identical_with_shared_nodes(case):
 
 
 def test_curve_quadrature_computes_each_node_once(monkeypatch):
-    """quad's imaginary pass reads the nodes its real pass computed: each
-    distinct node costs one weight call (and one pole product), far fewer
-    than the integrand calls quad makes."""
-    weight_calls, quad_calls = [], []
+    """The imaginary pass reads the nodes in theta that the real pass
+    computed: each distinct node costs one weight call (and one pole
+    product), far fewer than the integrand calls of the two passes."""
+    weight_calls, theta_calls, passes = [], [], []
     weight = constant_density(1.0)
     unit = weight._fn
     object.__setattr__(weight, "_fn", lambda s: weight_calls.append(s) or unit(s))
     mu = CurvePushforward(MU2.alpha, MU2.beta, weight, MU2.scale)
+    line = measures._line
 
-    def counting_line(f, *args, **kwargs):
-        return integrate_line(lambda s: quad_calls.append(s) or f(s), *args, **kwargs)
+    def counting_line(integrand, *args):
+        passes.append(args)
+        return line(lambda theta: theta_calls.append(theta) or integrand(theta), *args)
 
-    monkeypatch.setattr(measures, "integrate_line", counting_line)
+    monkeypatch.setattr(measures, "_line", counting_line)
     pairs = [(c, -1j) for c in (0.3 + 0.01j, -2 - 0.5j)]  # A(z, .) on each axis
     assert repr(pair_integral(mu, pairs)) == repr(curve_pair_integral_unshared(MU2, pairs))
-    assert sorted(weight_calls) == sorted(set(quad_calls))
-    assert len(weight_calls) < 0.6 * len(quad_calls)
+    assert len(passes) == 2 and passes[0] == passes[1]
+    assert sorted(weight_calls) == sorted(map(math.tan, set(theta_calls)))
+    assert len(weight_calls) < 0.6 * len(theta_calls)
 
 
 @pytest.mark.parametrize(
@@ -310,8 +313,9 @@ def test_curve_residual_matches_rho_by_rho_oracle():
 )
 def test_curve_residual_runs_no_quadrature(monkeypatch, mu):
     calls = count_calls(monkeypatch, measures, "integrate_line")
+    lines = count_calls(monkeypatch, measures, "_line")
     assert math.isfinite(abs(nevanlinna_residual(mu, point(*[0.5 + 1j] * mu.dimension))))
-    assert calls == []
+    assert calls == [] and lines == []
 
 
 def test_product_measure_residuals_vanish_exactly():

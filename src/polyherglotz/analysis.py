@@ -305,8 +305,9 @@ def _probe_points(n: int, samples: int, seed: int):
     """A fixed C+^n grid, then `samples` seeded log-uniform points, as tuples.
 
     The grid is the 35-value axis to the power n for n <= 2; for n > 2 it
-    is the 6-value axis on each pair of axes, the others at i: C(n, 2) * 36
-    points, not 6^n.
+    is the 6-value axis, which holds i, on each pair of axes, the others at
+    i, each point once in first-seen order: 1 + 5n + 25 * C(n, 2) points,
+    not 6^n.
     """
     if n <= 2:
         res = (-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 4.0)
@@ -314,11 +315,13 @@ def _probe_points(n: int, samples: int, seed: int):
         yield from itertools.product(axis, repeat=n)
     else:
         axis = [complex(x, y) for x in (-2.0, 0.0, 2.0) for y in (0.1, 1.0)]
+        grid = {}
         for j, k in itertools.combinations(range(n), 2):
             for a, b in itertools.product(axis, repeat=2):
                 zs = [1j] * n
                 zs[j], zs[k] = a, b
-                yield tuple(zs)
+                grid[tuple(zs)] = None
+        yield from grid
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         yield _random_point(rng, (1,) * n, 6.0, (0.05, 10.0))

@@ -53,7 +53,6 @@ from .measures import (
     ProductDensity,
     _loads,
     _measure,
-    _pair_integral,
     _require_fields,
     check_growth,
     constant_density,
@@ -78,14 +77,14 @@ class CauchyTypeFunction(_Function):
 
     def evaluate(self, z) -> tuple:
         zs = _point(z, self.dimension).coords
-        val, err = _pair_integral(self.measure, [(c, -1j) for c in zs])
+        val, err = self.measure._pair_integral([(c, -1j) for c in zs])
         return (
             self._prefactor * (1j * (2.0 * val - self._growth)),
             self._prefactor * (2.0 * err),
         )
 
     def _at(self, zs: tuple) -> complex:
-        val, _ = _pair_integral(self.measure, [(c, -1j) for c in zs])
+        val, _ = self.measure._pair_integral([(c, -1j) for c in zs])
         return self._prefactor * (1j * (2.0 * val - self._growth))
 
 

@@ -8,6 +8,13 @@ alternative) is expressible; the family is deliberately closed so the
 Nevanlinna checker's error analysis stays tractable.  Every entry that
 takes a measure checks it with `_measure`.
 
+Each variant is a subclass of `_Measure` and owns its operations: its
+pole-pair integral (`_pair_integral`), its exact residual (`_residual`),
+its boundary hints, its share of `integrate`'s density quadrature
+(`_density`) or its own exact or line integral (`_integral`), and its JSON
+form.  The public functions check their arguments and call the method.
+A new variant is one class and one line of the JSON tag table.
+
 The kernel integral, the Nevanlinna residual and the growth integral are
 all integrals of products of pole pairs (see `kernels`), which
 `pair_integral` computes; `integrate` is adaptive quadrature for arbitrary
@@ -20,16 +27,11 @@ in the curve parameter, and `_curve_pair_integral` integrates it exactly
 as a divided difference over the poles (`DensityDescriptor._line_integral`);
 both curve engines read one substitution (`_curve_substitution`).
 The Nevanlinna residual and the growth integral take every curve term
-that way and every other term by `_pair_integral`'s exact branches
-(`_residual`), so neither runs a quadrature for any measure of the family.
-`pair_integral`'s curve branch is still one line quadrature, the oracle of
+that way and every other term by its exact `_pair_integral` (`_residual`),
+so neither runs a quadrature for any measure of the family.
+A curve's `_pair_integral` is still one line quadrature, the oracle of
 the exact one; in the library only a Cauchy-type function's evaluation
-against a curve runs it (`functions`).  It runs its own two passes, the
-real part then the imaginary part, and the second reads every node in
-theta that the first computed.
-`boundary_hints` tells Stieltjes inversion where a measure's singular part
-puts spikes on each integration axis at height y, and how wide they are.
-scipy's Faddeeva function is imported by the first Gaussian density that
+against a curve runs it (`functions`).  scipy's Faddeeva function is imported by the first Gaussian density that
 needs it, not by this module.
 """
 
@@ -40,7 +42,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -398,8 +400,35 @@ _FORMS = {
 }
 
 
+class _Measure:
+    """A variant of the family.  Each owns `_pair_integral(pairs)`, the
+    integral of prod_l pair(p_l, q_l)(t_l) dmu for checked pairs as (value,
+    error), and its JSON form, `_to_dict()` and the classmethod
+    `_from_dict(obj)`; below are the defaults of the other operations."""
+
+    def _terms(self) -> tuple:
+        """The terms `integrate` sums, nested sums flattened."""
+        return (self,)
+
+    def _residual(self, products: list) -> complex:
+        """sum over `products` of the integral of each pole-pair product dmu, exactly."""
+        return sum((self._pair_integral(pairs)[0] for pairs in products), 0j)
+
+    def _boundary_hints(self, prefix: tuple, y: float) -> list:
+        return []  # a density is smooth
+
+    def _density(self):
+        """Its share of the weight of `integrate`'s density quadrature: a
+        scale c or a product of (axis, w) factors; None for none."""
+        return None
+
+    def _integral(self, f):
+        """(value, error) of f dmu for a term that `integrate` takes alone; None for none."""
+        return None
+
+
 @dataclass(frozen=True)
-class Atomic:
+class Atomic(_Measure):
     points: tuple  # tuple of real n-vectors
     weights: tuple
     dim: int | None = None
@@ -430,9 +459,31 @@ class Atomic:
     def dimension(self) -> int:
         return self.dim
 
+    def _pair_integral(self, pairs):
+        return self._integral(lambda t: math.prod(_pair(p, q, x) for (p, q), x in zip(pairs, t)))
+
+    def _integral(self, f):
+        return sum((w * f(p) for p, w in zip(self.points, self.weights)), 0j), 0.0
+
+    def _boundary_hints(self, prefix, y):
+        return [(p[len(prefix)], y) for p in self.points]
+
+    def _to_dict(self) -> dict:
+        return {
+            "type": "atomic",
+            "points": [list(p) for p in self.points],
+            "weights": list(self.weights),
+            "dimension": self.dimension,
+        }
+
+    @classmethod
+    def _from_dict(cls, obj: dict):
+        _require_fields(obj, {"type", "points", "weights", "dimension"}, "atomic")
+        return cls(obj["points"], obj["weights"], obj.get("dimension"))
+
 
 @dataclass(frozen=True)
-class LebesgueScaled:
+class LebesgueScaled(_Measure):
     c: float
     dim: int = 1
 
@@ -444,9 +495,28 @@ class LebesgueScaled:
     def dimension(self) -> int:
         return self.dim
 
+    def _pair_integral(self, pairs):
+        # every axis is the constant density, c on the first and 1 on the rest
+        val = self.c
+        for p, q in pairs:
+            val *= math.pi * ((p.imag > 0) - (q.imag > 0))
+        return val, 0.0
+
+    def _density(self):
+        # c = 0 integrates to 0 without a decay check
+        return self.c if self.c != 0.0 else None
+
+    def _to_dict(self) -> dict:
+        return {"type": "lebesgue_scaled", "c": self.c, "dimension": self.dim}
+
+    @classmethod
+    def _from_dict(cls, obj: dict):
+        _require_fields(obj, {"type", "c", "dimension"}, "lebesgue_scaled")
+        return cls(obj["c"], obj["dimension"])
+
 
 @dataclass(frozen=True)
-class ProductDensity:
+class ProductDensity(_Measure):
     factors: tuple  # of DensityDescriptor
 
     def __post_init__(self):
@@ -460,9 +530,28 @@ class ProductDensity:
     def dimension(self) -> int:
         return len(self.factors)
 
+    def _pair_integral(self, pairs):
+        return math.prod(w.pair_integral(p, q) for w, (p, q) in zip(self.factors, pairs)), 0.0
+
+    def _density(self):
+        # a unit constant factor adds nothing to the product
+        unit = constant_density(1.0)
+        return tuple((l, w._fn) for l, w in enumerate(self.factors) if w != unit)
+
+    def _to_dict(self) -> dict:
+        return {
+            "type": "product_density",
+            "factors": [density_to_dict(d) for d in self.factors],
+        }
+
+    @classmethod
+    def _from_dict(cls, obj: dict):
+        _require_fields(obj, {"type", "factors"}, "product_density")
+        return cls(tuple(density_from_dict(d) for d in obj["factors"]))
+
 
 @dataclass(frozen=True)
-class CurvePushforward:
+class CurvePushforward(_Measure):
     """Pushforward of weight(s) ds along s -> alpha * s + beta in R^n."""
 
     alpha: tuple
@@ -492,9 +581,75 @@ class CurvePushforward:
     def at(self, s: float) -> tuple:
         return tuple(a * s + b for a, b in zip(self.alpha, self.beta))
 
+    def _pair_integral(self, pairs):
+        const, nodes = _curve_substitution(self, pairs)
+        if not all(map(cmath.isfinite, [const, *nodes])):
+            return _slope_out_of_range(self, pairs), 0.0
+        poles = list(zip(nodes[::2], nodes[1::2]))
+        w = self.weight._fn
+        # the imaginary pass revisits most of the real pass's nodes: each
+        # node's complex integrand is computed once per call, keyed by theta
+        values = {}
+
+        def real(theta):
+            t = math.tan(theta)
+            v = w(t)
+            for p, q in poles:
+                v *= 1.0 / (t - p) - 1.0 / (t - q)
+            values[theta] = v = v * (1.0 + t * t)
+            return v.real
+
+        def imag(theta):
+            if theta not in values:
+                real(theta)
+            return values[theta].imag
+
+        hints = _near_axis(poles)
+        re, re_err = _line(real, DEFAULT_CONFIG, hints, False)
+        im, im_err = _line(imag, DEFAULT_CONFIG, hints, False)
+        # combined as scipy's `quad` combines the two passes of a complex integrand
+        return const * (re + 1j * im), abs(const) * abs(re_err + 1j * im_err)
+
+    def _residual(self, products):
+        return sum((_curve_pair_integral(self, pairs) for pairs in products), 0j)
+
+    def _integral(self, f):
+        if self.scale == 0.0:
+            return None
+        g = lambda s, w=self.weight._fn: f(self.at(s)) * w(s)
+        _check_decay(g, "curve parameter")
+        v, e = integrate_line(g)
+        return self.scale * v, self.scale * e
+
+    def _boundary_hints(self, prefix, y):
+        axis = len(prefix)
+        a = self.alpha[axis]
+        if a == 0.0:
+            return [(self.beta[axis], y)]
+        for i in range(axis):
+            if self.alpha[i] != 0.0:
+                s = (prefix[i] - self.beta[i]) / self.alpha[i]
+                return [(a * s + self.beta[axis], y * (1.0 + abs(a / self.alpha[i])))]
+        return []
+
+    def _to_dict(self) -> dict:
+        return {
+            "type": "curve_pushforward",
+            "curve": {"alpha": list(self.alpha), "beta": list(self.beta)},
+            "weight": density_to_dict(self.weight),
+            "scale": self.scale,
+        }
+
+    @classmethod
+    def _from_dict(cls, obj: dict):
+        _require_fields(obj, {"type", "curve", "weight", "scale"}, "curve_pushforward")
+        curve = obj["curve"]
+        _require_fields(curve, {"alpha", "beta"}, "curve")
+        return cls(curve["alpha"], curve["beta"], density_from_dict(obj["weight"]), obj["scale"])
+
 
 @dataclass(frozen=True)
-class MeasureSum:
+class MeasureSum(_Measure):
     terms: tuple
 
     def __post_init__(self):
@@ -511,14 +666,47 @@ class MeasureSum:
     def dimension(self) -> int:
         return self.terms[0].dimension
 
+    def _terms(self):
+        return tuple(t for term in self.terms for t in term._terms())
 
-_VARIANTS = (Atomic, LebesgueScaled, ProductDensity, CurvePushforward, MeasureSum)
-Measure = Union[_VARIANTS]
+    def _pair_integral(self, pairs):
+        val, err = 0j, 0.0
+        for term in self.terms:
+            v, e = term._pair_integral(pairs)
+            val += v
+            err += e
+        return val, err
+
+    def _residual(self, products):
+        return sum((term._residual(products) for term in self.terms), 0j)
+
+    def _boundary_hints(self, prefix, y):
+        return [x for t in self.terms for x in t._boundary_hints(prefix, y)]
+
+    def _to_dict(self) -> dict:
+        return {"type": "sum", "terms": [t._to_dict() for t in self.terms]}
+
+    @classmethod
+    def _from_dict(cls, obj: dict):
+        _require_fields(obj, {"type", "terms"}, "sum")
+        return cls(tuple(measure_from_dict(t) for t in obj["terms"]))
+
+
+Measure = _Measure
+
+#: JSON tag -> variant
+_MEASURE_TAGS = {
+    "atomic": Atomic,
+    "lebesgue_scaled": LebesgueScaled,
+    "product_density": ProductDensity,
+    "curve_pushforward": CurvePushforward,
+    "sum": MeasureSum,
+}
 
 
 def _measure(mu) -> None:
     """Raise `InvalidArgumentError` unless mu is one of the five variants."""
-    if not isinstance(mu, _VARIANTS):
+    if not isinstance(mu, _Measure):
         raise InvalidArgumentError(f"unknown measure variant {type(mu).__name__}")
 
 
@@ -552,25 +740,6 @@ def _axis_profiles(f, n):
     return profiles
 
 
-def _flat_terms(mu: Measure):
-    """The terms of a measure, nested sums flattened; a measure that is not
-    a sum is its own single term."""
-    if isinstance(mu, MeasureSum):
-        for term in mu.terms:
-            yield from _flat_terms(term)
-    else:
-        yield mu
-
-
-def _has_density(mu: Measure) -> bool:
-    """Whether `integrate` puts this term into the density quadrature.
-
-    A scaled Lebesgue measure with c = 0 stays out: it integrates to 0
-    without a decay check.
-    """
-    return isinstance(mu, ProductDensity) or (isinstance(mu, LebesgueScaled) and mu.c != 0.0)
-
-
 def _weighted(f, c: float, products: list):
     """t -> f(t) * (c + sum_k prod_l w_kl(t_l)), products of (l, w_kl._fn).
 
@@ -594,53 +763,42 @@ def _weighted(f, c: float, products: list):
     return fw
 
 
-def _integrate_densities(terms: list, f):
-    """integral of f against a sum of scaled Lebesgue and product-density
-    terms as one quadrature of f times the sum of their densities, a weight
-    built once and without constant factors of 1.0; with no product term, the
-    sum of the scales times the integral of f.  Each term's decay is checked alone.
-    """
-    c, products = 0.0, []
-    for term in terms:
-        if isinstance(term, LebesgueScaled):
-            c += term.c
-            g = f
-        else:
-            unit = constant_density(1.0)
-            products.append(tuple((l, w._fn) for l, w in enumerate(term.factors) if w != unit))
-            g = _weighted(f, 0.0, products[-1:])
-        for label, h in _axis_profiles(g, term.dimension):
-            _check_decay(h, label)
-    n = terms[0].dimension
-    if not products:
-        val, err = integrate_rn(f, n)
-        return c * val, c * err
-    return integrate_rn(_weighted(f, c, products), n)
-
-
 def integrate(mu: Measure, f: Callable[[tuple], complex]):
     """integral of f dmu.  Returns (value, error_estimate).
 
     A measure is taken as the sum of its flattened terms (one term when it
     is not a sum).  All absolutely continuous terms (scaled Lebesgue with
     c > 0, product densities) are integrated as one adaptive quadrature on
-    the tan-compactified axes; then atoms are summed exactly and each curve
-    takes one line quadrature, in the order of the terms.  Every quadrature
-    runs at the `quadrature` module's default tolerances.
+    the tan-compactified axes, of f times the sum of their densities (their
+    `_density` shares), a weight built once; with no product density, the
+    sum of the scales times the integral of f.  Each term's decay is checked
+    alone.  Then atoms are summed exactly and each curve takes one line
+    quadrature, in the order of the terms.  Every quadrature runs at the
+    `quadrature` module's default tolerances.
     """
     _measure(mu)
-    terms = list(_flat_terms(mu))
-    dense = [t for t in terms if _has_density(t)]
-    val, err = _integrate_densities(dense, f) if dense else (0j, 0.0)
+    n, terms = mu.dimension, mu._terms()
+    c, products, val, err = 0.0, [], 0j, 0.0
+    densities = [d for d in (t._density() for t in terms) if d is not None]
+    for d in densities:
+        if isinstance(d, tuple):
+            products.append(d)
+            g = _weighted(f, 0.0, [d])
+        else:
+            c += d
+            g = f
+        for label, h in _axis_profiles(g, n):
+            _check_decay(h, label)
+    if products:
+        val, err = integrate_rn(_weighted(f, c, products), n)
+    elif densities:
+        val, err = integrate_rn(f, n)
+        val, err = c * val, c * err
     for term in terms:
-        if isinstance(term, Atomic):
-            val += sum((w * f(p) for p, w in zip(term.points, term.weights)), 0j)
-        elif isinstance(term, CurvePushforward) and term.scale != 0.0:
-            g = lambda s, w=term.weight._fn: f(term.at(s)) * w(s)
-            _check_decay(g, "curve parameter")
-            v, e = integrate_line(g)
-            val += term.scale * v
-            err += term.scale * e
+        part = term._integral(f)
+        if part is not None:
+            val += part[0]
+            err += part[1]
     return complex(val), err
 
 
@@ -657,21 +815,7 @@ def boundary_hints(mu: Measure, prefix: tuple, y: float) -> list:
     this axis is P_y convolved with that: half-width y*(1 + |alpha/alpha_i|),
     2y on the diagonal.  Densities are smooth and give none.
     """
-    axis = len(prefix)
-    if isinstance(mu, Atomic):
-        return [(p[axis], y) for p in mu.points]
-    if isinstance(mu, MeasureSum):
-        return [x for t in mu.terms for x in boundary_hints(t, prefix, y)]
-    if isinstance(mu, CurvePushforward):
-        a = mu.alpha[axis]
-        if a == 0.0:
-            return [(mu.beta[axis], y)]
-        for i in range(axis):
-            if mu.alpha[i] != 0.0:
-                s = (prefix[i] - mu.beta[i]) / mu.alpha[i]
-                return [(a * s + mu.beta[axis], y * (1.0 + abs(a / mu.alpha[i])))]
-        return []
-    return []
+    return mu._boundary_hints(prefix, y)
 
 
 # A curve integrand's pole at s gets quadrature breakpoints only when
@@ -700,65 +844,7 @@ def pair_integral(mu: Measure, pairs: Sequence[tuple]):
             f"pair_integral needs one pole pair per axis: got {len(pairs)} "
             f"for a measure of dimension {mu.dimension}"
         )
-    return _pair_integral(mu, pairs)
-
-
-def _pair_integral(mu: Measure, pairs: Sequence[tuple]):
-    """`pair_integral` for a measure and pairs already checked."""
-    if isinstance(mu, LebesgueScaled):
-        # every axis is the constant density, c on the first and 1 on the rest
-        val = mu.c
-        for p, q in pairs:
-            val *= math.pi * ((p.imag > 0) - (q.imag > 0))
-        return val, 0.0
-
-    if isinstance(mu, ProductDensity):
-        return math.prod(w.pair_integral(p, q) for w, (p, q) in zip(mu.factors, pairs)), 0.0
-
-    if isinstance(mu, Atomic):
-        val = sum(
-            (w * math.prod(_pair(p, q, x) for (p, q), x in zip(pairs, t))
-             for t, w in zip(mu.points, mu.weights)),
-            0j,
-        )
-        return val, 0.0
-
-    if isinstance(mu, MeasureSum):
-        val, err = 0j, 0.0
-        for term in mu.terms:
-            v, e = _pair_integral(term, pairs)
-            val += v
-            err += e
-        return val, err
-
-    # a CurvePushforward
-    const, nodes = _curve_substitution(mu, pairs)
-    if not all(map(cmath.isfinite, [const, *nodes])):
-        return _slope_out_of_range(mu, pairs), 0.0
-    poles = list(zip(nodes[::2], nodes[1::2]))
-    w = mu.weight._fn
-    # the imaginary pass revisits most of the real pass's nodes: each
-    # node's complex integrand is computed once per call, keyed by theta
-    values = {}
-
-    def real(theta):
-        t = math.tan(theta)
-        v = w(t)
-        for p, q in poles:
-            v *= 1.0 / (t - p) - 1.0 / (t - q)
-        values[theta] = v = v * (1.0 + t * t)
-        return v.real
-
-    def imag(theta):
-        if theta not in values:
-            real(theta)
-        return values[theta].imag
-
-    hints = _near_axis(poles)
-    re, re_err = _line(real, DEFAULT_CONFIG, hints, False)
-    im, im_err = _line(imag, DEFAULT_CONFIG, hints, False)
-    # combined as scipy's `quad` combines the two passes of a complex integrand
-    return const * (re + 1j * im), abs(const) * abs(re_err + 1j * im_err)
+    return mu._pair_integral(pairs)
 
 
 def _curve_substitution(mu: CurvePushforward, pairs: Sequence[tuple]):
@@ -800,11 +886,11 @@ class GrowthResult:
 def check_growth(mu: Measure) -> GrowthResult:
     """Evaluate the growth integral of prod(1+t_l^2)^-1 against mu.
 
-    1/(1+t^2) is the pole pair (i, -i); one per axis takes the residual's
-    exact dispatch (`_residual`), so no measure runs a quadrature.
+    1/(1+t^2) is the pole pair (i, -i); one per axis takes the measure's
+    exact `_residual`, so no measure runs a quadrature.
     """
     _measure(mu)
-    val = _residual(mu, [[(1j, -1j)] * mu.dimension])
+    val = mu._residual([[(1j, -1j)] * mu.dimension])
     if not math.isfinite(abs(val)):
         return GrowthResult(False, math.inf)
     return GrowthResult(True, val.real)
@@ -825,7 +911,7 @@ def nevanlinna_residual(mu: Measure, z: CutPlanePoint) -> complex:
     _measure(mu)
     z = _upper(z, "nevanlinna_residual", mu.dimension)
     products = _rho_products(z.coords)
-    return _residual(mu, products) if products else 0j
+    return mu._residual(products) if products else 0j
 
 
 def _telescoped(z: complex) -> tuple:
@@ -875,15 +961,6 @@ def _rho_products(coords: tuple) -> list:
     """The products of `_rho_plan` at the point with these coordinates."""
     pairs = [pair for z in coords for pair in _telescoped(z)]
     return [get(pairs) for get in _RHO_PLANS[len(coords)]]
-
-
-def _residual(mu: Measure, products: list) -> complex:
-    """sum over `products` of the integral of each pole-pair product dmu, exactly."""
-    if isinstance(mu, MeasureSum):
-        return sum((_residual(term, products) for term in mu.terms), 0j)
-    if isinstance(mu, CurvePushforward):
-        return sum((_curve_pair_integral(mu, pairs) for pairs in products), 0j)
-    return sum((_pair_integral(mu, pairs)[0] for pairs in products), 0j)
 
 
 def _curve_pair_integral(mu: CurvePushforward, pairs: Sequence[tuple]) -> complex:
@@ -936,64 +1013,22 @@ def density_to_dict(d: DensityDescriptor) -> dict:
 
 
 def measure_from_dict(obj: dict) -> Measure:
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise InvalidArgumentError("measure descriptor needs a 'type' field")
+    kind = obj["type"]
+    if not isinstance(kind, str) or kind not in _MEASURE_TAGS:
+        raise InvalidArgumentError(f"unknown measure type {kind!r}")
     try:
-        return _measure_from_dict(obj)
+        return _MEASURE_TAGS[kind]._from_dict(obj)
     except (KeyError, TypeError) as e:
         raise InvalidArgumentError(
             f"malformed measure descriptor ({type(e).__name__}: {e})"
         ) from e
 
 
-def _measure_from_dict(obj: dict) -> Measure:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise InvalidArgumentError("measure descriptor needs a 'type' field")
-    kind = obj["type"]
-    if kind == "atomic":
-        _require_fields(obj, {"type", "points", "weights", "dimension"}, "atomic")
-        return Atomic(obj["points"], obj["weights"], obj.get("dimension"))
-    if kind == "lebesgue_scaled":
-        _require_fields(obj, {"type", "c", "dimension"}, "lebesgue_scaled")
-        return LebesgueScaled(obj["c"], obj["dimension"])
-    if kind == "product_density":
-        _require_fields(obj, {"type", "factors"}, "product_density")
-        return ProductDensity(tuple(density_from_dict(d) for d in obj["factors"]))
-    if kind == "curve_pushforward":
-        _require_fields(obj, {"type", "curve", "weight", "scale"}, "curve_pushforward")
-        curve = obj["curve"]
-        _require_fields(curve, {"alpha", "beta"}, "curve")
-        return CurvePushforward(
-            curve["alpha"], curve["beta"], density_from_dict(obj["weight"]), obj["scale"]
-        )
-    if kind == "sum":
-        _require_fields(obj, {"type", "terms"}, "sum")
-        return MeasureSum(tuple(_measure_from_dict(t) for t in obj["terms"]))
-    raise InvalidArgumentError(f"unknown measure type {kind!r}")
-
-
 def measure_to_dict(mu: Measure) -> dict:
     _measure(mu)
-    if isinstance(mu, Atomic):
-        return {
-            "type": "atomic",
-            "points": [list(p) for p in mu.points],
-            "weights": list(mu.weights),
-            "dimension": mu.dimension,
-        }
-    if isinstance(mu, LebesgueScaled):
-        return {"type": "lebesgue_scaled", "c": mu.c, "dimension": mu.dim}
-    if isinstance(mu, ProductDensity):
-        return {
-            "type": "product_density",
-            "factors": [density_to_dict(d) for d in mu.factors],
-        }
-    if isinstance(mu, CurvePushforward):
-        return {
-            "type": "curve_pushforward",
-            "curve": {"alpha": list(mu.alpha), "beta": list(mu.beta)},
-            "weight": density_to_dict(mu.weight),
-            "scale": mu.scale,
-        }
-    return {"type": "sum", "terms": [measure_to_dict(t) for t in mu.terms]}
+    return mu._to_dict()
 
 
 def _loads(text, what: str):

@@ -1,4 +1,4 @@
-"""Stdlib-only stand-ins for seven lint rules on the library modules.
+"""Stdlib-only stand-ins for eight lint rules on the library modules.
 
 Every name a library module imports is used in that module: a name bound
 by an import statement must appear as a name somewhere in the module.  The
@@ -38,6 +38,13 @@ No module but ``core`` calls ``_real`` inside a loop or a comprehension,
 however it is spelled (a name or a ``core._real`` attribute).  Such a loop
 is a hand-made copy of the rule for a caller's sequence of reals, which
 every constructor reaches through ``core._reals``.
+
+No module tests ``isinstance(..., X)`` with X a measure variant
+(``Atomic``, ``LebesgueScaled``, ``ProductDensity``, ``CurvePushforward``,
+``MeasureSum``, as a name or an attribute) outside ``measures._measure``
+and the variants' own classes.  Each variant owns its operations as
+methods, so such a test is a hand-made copy of a dispatch that a new
+variant would have to extend.
 """
 
 import ast
@@ -144,22 +151,28 @@ def test_unbounded_cache_lint_accepts(source):
     assert not unbounded_caches(ast.parse(source))
 
 
+def _isinstance_of(node, names) -> bool:
+    """Whether `node` calls isinstance(..., X) with X one of `names`, as a
+    name or an attribute, alone or in a tuple."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(
+            isinstance(n, ast.Name) and n.id in names
+            or isinstance(n, ast.Attribute) and n.attr in names
+            for n in ast.walk(node.args[1])
+        )
+    )
+
+
 def input_rule_copies(tree) -> list:
     """Line numbers where `tree` calls isinstance(..., CutPlanePoint), however
     the class is spelled, or compares an `.imag` with 0 by == or !=."""
     bad = []
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and len(node.args) == 2
-            and any(
-                isinstance(n, ast.Name) and n.id == "CutPlanePoint"
-                or isinstance(n, ast.Attribute) and n.attr == "CutPlanePoint"
-                for n in ast.walk(node.args[1])
-            )
-        ):
+        if _isinstance_of(node, {"CutPlanePoint"}):
             bad.append(node.lineno)
         elif isinstance(node, ast.Compare) and any(
             isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
@@ -455,3 +468,65 @@ def test_real_loop_lint_rejects(source):
 )
 def test_real_loop_lint_accepts(source):
     assert not real_checks_in_loops(ast.parse(source))
+
+
+VARIANTS = {"Atomic", "LebesgueScaled", "ProductDensity", "CurvePushforward", "MeasureSum"}
+
+
+def variant_type_tests(tree) -> list:
+    """Line numbers where `tree` calls isinstance(..., X) with X a measure
+    variant, however it is spelled, outside a function `_measure` and the
+    bodies of the variants' own classes."""
+    bad = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            exempt = (
+                isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and child.name == "_measure"
+                or isinstance(child, ast.ClassDef) and child.name in VARIANTS
+            )
+            if exempt:
+                continue
+            if _isinstance_of(child, VARIANTS):
+                bad.append(child.lineno)
+            visit(child)
+
+    visit(tree)
+    return sorted(bad)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_measure_variants_own_their_operations(path):
+    lines = variant_type_tests(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} tests a measure variant at lines {lines}; call its method"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "ok = isinstance(mu, CurvePushforward)",
+        "if isinstance(t, measures.MeasureSum): pass",
+        "dense = [t for t in terms if isinstance(t, (LebesgueScaled, ProductDensity))]",
+        "def integrate(mu, f):\n    return isinstance(mu, Atomic)",
+        "class Atomic:\n    pass\ndef f(mu):\n    return isinstance(mu, Atomic)",
+        "class HerglotzTriple:\n    def f(self):\n        return isinstance(self.mu, Atomic)",
+    ],
+)
+def test_variant_type_lint_rejects(source):
+    assert variant_type_tests(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "ok = isinstance(mu, _Measure)",
+        "def _measure(mu):\n    if not isinstance(mu, (Atomic, MeasureSum)): pass",
+        "class MeasureSum:\n    def f(self, t):\n        return isinstance(t, MeasureSum)",
+        "ok = isinstance(w, DensityDescriptor)",
+        "val, err = mu._pair_integral(pairs)",
+        "terms = MeasureSum((MU2, LebesgueScaled(1.0, 2)))",
+    ],
+)
+def test_variant_type_lint_accepts(source):
+    assert not variant_type_tests(ast.parse(source))

@@ -487,11 +487,65 @@ def test_measure_json_rejects_unknown_fields():
         )
 
 
-def test_measure_to_dict_stable():
-    d = measure_to_dict(MU2)
-    assert d["type"] == "curve_pushforward"
-    assert d["curve"] == {"alpha": [1.0, 1.0], "beta": [0.0, 0.0]}
-    assert d["weight"] == {"form": "constant", "c": 1.0}
+#: (measure, json.dumps of its measure_to_dict, which keeps the key order,
+#: and its measure_to_json text), one per variant and a nested sum.
+JSON_FORMS = {
+    "atomic": (
+        Atomic(((1.0, 2.0), (-0.5, 0.0)), (2.0, 0.25)),
+        '{"type": "atomic", "points": [[1.0, 2.0], [-0.5, 0.0]], "weights": [2.0, 0.25], '
+        '"dimension": 2}',
+        '{"dimension": 2, "points": [[1.0, 2.0], [-0.5, 0.0]], "type": "atomic", '
+        '"weights": [2.0, 0.25]}',
+    ),
+    "empty_atomic": (
+        Atomic((), (), 3),
+        '{"type": "atomic", "points": [], "weights": [], "dimension": 3}',
+        '{"dimension": 3, "points": [], "type": "atomic", "weights": []}',
+    ),
+    "lebesgue_scaled": (
+        LebesgueScaled(5.0, 2),
+        '{"type": "lebesgue_scaled", "c": 5.0, "dimension": 2}',
+        '{"c": 5.0, "dimension": 2, "type": "lebesgue_scaled"}',
+    ),
+    "product_density": (
+        ProductDensity((cauchy_weight(), gaussian_density(0.5, 1.5),
+                        rational_density("cauchy_squared"), constant_density(2.0))),
+        '{"type": "product_density", "factors": [{"form": "cauchy_weight"}, '
+        '{"form": "gaussian", "mean": 0.5, "sigma": 1.5}, '
+        '{"form": "rational_table", "name": "cauchy_squared"}, {"form": "constant", "c": 2.0}]}',
+        '{"factors": [{"form": "cauchy_weight"}, {"form": "gaussian", "mean": 0.5, "sigma": 1.5}, '
+        '{"form": "rational_table", "name": "cauchy_squared"}, {"c": 2.0, "form": "constant"}], '
+        '"type": "product_density"}',
+    ),
+    "curve_pushforward": (
+        MU2,
+        '{"type": "curve_pushforward", "curve": {"alpha": [1.0, 1.0], "beta": [0.0, 0.0]}, '
+        '"weight": {"form": "constant", "c": 1.0}, "scale": 3.141592653589793}',
+        '{"curve": {"alpha": [1.0, 1.0], "beta": [0.0, 0.0]}, "scale": 3.141592653589793, '
+        '"type": "curve_pushforward", "weight": {"c": 1.0, "form": "constant"}}',
+    ),
+    "nested_sum": (
+        MeasureSum((LebesgueScaled(1.0, 2), MeasureSum((MU2, Atomic(((0.0, 1.0),), (1.0,)))))),
+        '{"type": "sum", "terms": [{"type": "lebesgue_scaled", "c": 1.0, "dimension": 2}, '
+        '{"type": "sum", "terms": [{"type": "curve_pushforward", '
+        '"curve": {"alpha": [1.0, 1.0], "beta": [0.0, 0.0]}, '
+        '"weight": {"form": "constant", "c": 1.0}, "scale": 3.141592653589793}, '
+        '{"type": "atomic", "points": [[0.0, 1.0]], "weights": [1.0], "dimension": 2}]}]}',
+        '{"terms": [{"c": 1.0, "dimension": 2, "type": "lebesgue_scaled"}, '
+        '{"terms": [{"curve": {"alpha": [1.0, 1.0], "beta": [0.0, 0.0]}, '
+        '"scale": 3.141592653589793, "type": "curve_pushforward", '
+        '"weight": {"c": 1.0, "form": "constant"}}, '
+        '{"dimension": 2, "points": [[0.0, 1.0]], "type": "atomic", "weights": [1.0]}], '
+        '"type": "sum"}], "type": "sum"}',
+    ),
+}
+
+
+@pytest.mark.parametrize("mu, ordered, text", JSON_FORMS.values(), ids=list(JSON_FORMS))
+def test_measure_to_dict_stable(mu, ordered, text):
+    assert json.dumps(measure_to_dict(mu)) == ordered
+    assert measure_to_json(mu) == text
+    assert measure_from_json(text) == mu
 
 
 @pytest.mark.parametrize("form", [["constant"], {"c": 1}, 1, None, "Constant"])

@@ -213,10 +213,10 @@ def test_pair_count_must_match_the_dimension(mu, count):
 
 def test_pair_count_is_checked_once_per_call(monkeypatch):
     mu = measures.MeasureSum((MU2, LebesgueScaled(1.0, 2), MU2))
-    calls = count_calls(monkeypatch, measures, "_pair_integral")
+    calls = count_calls(monkeypatch, measures, "_pole_pairs")
     val, _ = pair_integral(mu, [(1j, -1j)] * 2)
     assert val == pytest.approx(2 * math.pi**2)
-    assert len(calls) == 4  # the sum, then each of its terms without a second check
+    assert len(calls) == 1  # the sum's pairs, and no second check for each term
 
 
 @pytest.mark.xfail(

@@ -6,7 +6,8 @@ coordinate is i, z_j or conj z_j, and never at i*1: 3^n - 1 points per
 orbit, each evaluated once, and each reflection's residual is
 `symmetry_residual` at that reflection, to the bit.  The positivity grid
 is the 35-value axis to the power n for n <= 2 and the 6-value axis on each
-pair of axes for n > 2, so it grows polynomially in n.  Every check reads
+pair of axes for n > 2, each distinct point once, so it grows polynomially
+in n.  Every check reads
 its tolerance and seed before it evaluates anything.
 """
 
@@ -96,11 +97,14 @@ def test_each_orbit_residual_is_the_symmetry_residual(name, seed):
 def test_positivity_grid_grows_polynomially(n):
     f = Counted(lebesgue(n))
     assert positivity_check(f).verdict == "pass"
-    grid = 35**n if n <= 2 else math.comb(n, 2) * 36
+    # for n > 2, the 6-value axis holds i: a grid point with all axes at i,
+    # one of n axes at one of 5 other values, or two of them
+    grid = 35**n if n <= 2 else 1 + 5 * n + 25 * math.comb(n, 2)
     assert len(f.seen) == grid + 200
     if n > 2:
-        # every grid point leaves all but at most two axes at i
+        # every grid point leaves all but at most two axes at i, and is evaluated once
         assert all(sum(c != 1j for c in zs) <= 2 for zs in f.seen[:grid])
+        assert len(set(f.seen[:grid])) == grid
 
 
 def test_positivity_grid_keeps_its_points_for_n_up_to_two():

@@ -51,7 +51,6 @@ from .core import (
 from .errors import InvalidArgumentError, TestFunctionBoundError
 from .functions import _Affine
 from .quadrature import QuadratureConfig, integrate_rn
-from .measures import boundary_hints
 
 DEFAULT_SEED = 1729
 
@@ -67,8 +66,9 @@ class LimitConfig:
     the steps themselves.  The checks make every ray point r*e^(+-i*angle)
     and every ladder point x + iy a valid cut-plane point, so those are
     evaluated unchecked, as coordinate tuples.  The ray points of both
-    directions and the steps 1/r are computed once, here, for every Stoltz
-    limit taken with the config; they are private attributes, not fields.
+    directions and the steps 1/r, and their tails at the last order + 2
+    radii, are computed once, here, for every Stoltz limit taken with the
+    config; they are private attributes, not fields.
     """
 
     stoltz_angle: float = math.pi / 4
@@ -91,9 +91,16 @@ class LimitConfig:
         if any(y[i] <= y[i + 1] for i in range(len(y) - 1)):
             raise InvalidArgumentError("y sequence must decrease")
         phase = cmath.exp(1j * self.stoltz_angle)
-        object.__setattr__(self, "_upper_ray", tuple([ri * phase for ri in r]))
-        object.__setattr__(self, "_lower_ray", tuple([ri * phase.conjugate() for ri in r]))
-        object.__setattr__(self, "_steps", tuple([1.0 / ri for ri in r]))
+        upper = tuple([ri * phase for ri in r])
+        lower = tuple([ri * phase.conjugate() for ri in r])
+        steps = tuple([1.0 / ri for ri in r])
+        tail = -(_EXTRAPOLATION_ORDER + 2)
+        for name, value in (
+            ("_upper_ray", upper), ("_lower_ray", lower), ("_steps", steps),
+            ("_upper_tail", upper[tail:]), ("_lower_tail", lower[tail:]),
+            ("_tail_steps", steps[tail:]),
+        ):
+            object.__setattr__(self, name, value)
 
 
 DEFAULT_LIMITS = LimitConfig()
@@ -126,38 +133,50 @@ def richardson_tableau(values: Sequence[complex], h: Sequence[float], order: int
 
     Column m is the Neville step (h_i*b - h_(i+m)*a) / (h_i - h_(i+m)) on
     neighbours a, b of column m - 1; where the steps halve in powers of two
-    it is (2^m*b - a) / (2^m - 1) to the bit.
+    it is (2^m*b - a) / (2^m - 1) to the bit.  Each column is a copy of
+    `_neville`'s list as that column fills it.
     """
     _integer(order, "order", 0)
     values, h = _sequence(values, "values"), _sequence(h, "h")
     if len(h) != len(values):
         raise InvalidArgumentError("the tableau needs one step per value")
-    return _tableau(values, h, order)
-
-
-def _tableau(values: Sequence[complex], h: Sequence[float], order: int):
-    """`richardson_tableau` unchecked: one step per value, order >= 0."""
     cols = [list(values)]
-    for m in range(1, order + 1):
-        prev = cols[-1]
-        if len(prev) < 2:
-            break
-        cols.append(
-            [(b * hi - a * hm) / (hi - hm) for a, b, hi, hm in zip(prev, prev[1:], h, h[m:])]
-        )
+    _neville(list(values), h, order, cols)
     return cols
 
 
+def _neville(t: list, h: Sequence[float], order: int, cols: list | None = None) -> list:
+    """Overwrite t, a ladder's values at the steps h, with its running
+    extrapolants, and return it: the one Richardson routine.
+
+    Column m of the tableau is computed in place over column m - 1, right
+    to left, and ends in t[m:]: t[i] becomes the Neville step
+    (h_(i-m)*t[i] - h_i*t[i-1]) / (h_(i-m) - h_i), which reads the values
+    i - m..i.  An entry t[k] with k < m keeps column k's first value, so
+    after the last column, min(order, len(t) - 1), t[k] is column
+    min(k, order) of the values up to step k.  Given `cols`, each new column
+    is appended to it, as a copy.
+    """
+    last = len(t) - 1
+    for m in range(1, min(order, last) + 1):
+        for i in range(last, m - 1, -1):
+            t[i] = (t[i] * h[i - m] - t[i - 1] * h[i]) / (h[i - m] - h[i])
+        if cols is not None:
+            cols.append(t[m:])
+    return t
+
+
 def _extrapolate(values: Sequence[complex], steps: Sequence[float], conv_tol: float):
-    """The running extrapolants of a ladder (after step k, column
-    min(k, order) of the one tableau) and whether it converged: it has at
-    least order + 2 steps and its last two full-order extrapolants agree
-    within `conv_tol`."""
+    """The running extrapolants of a ladder and whether it converged.
+
+    The extrapolant after step k is column min(k, order) of the one tableau,
+    computed in place by `_neville` on a copy of `values`, and no column is
+    kept apart.  The ladder converged when it has at least order + 2 steps
+    and its last two full-order extrapolants agree within `conv_tol`.
+    """
     order = _EXTRAPOLATION_ORDER
-    cols = _tableau(values, steps, order)
-    running = [col[0] for col in cols[:-1]] + cols[-1]
-    top = cols[-1]
-    converged = len(values) >= order + 2 and abs(top[-1] - top[-2]) <= conv_tol
+    running = _neville(list(values), steps, order)
+    converged = len(running) >= order + 2 and abs(running[-1] - running[-2]) <= conv_tol
     return running, converged
 
 
@@ -452,14 +471,16 @@ def stoltz_limit(
     `j` is 1-based.  The estimate is Richardson-extrapolated in the steps
     1/r of the radius sequence; alternate bases probe independence from
     the non-j coordinates.  Every ray's final extrapolant and convergence
-    read its last order + 2 values alone, so each ray's tableau is built
-    on those.  The base's ray is evaluated at every radius, for `samples`;
-    a ray of fewer than order + 2 radii reaches the column it can and
-    never converges.  Alternate k sets non-j coordinate i to
-    `_ALT_BASE_COORDS[(k + i) % 4]`: at most 4 are distinct, and for n = 1
-    each is the base.  Each distinct one that differs from the base is
-    evaluated once, at the last order + 2 radii.  The ray points and steps
-    come with `cfg`, computed once.
+    read its last order + 2 values alone, so each ray is extrapolated on
+    those, by `_extrapolate`.  The base's ray is evaluated at every radius,
+    for `samples`; a ray of fewer than order + 2 radii reaches the column
+    it can and never converges.  Alternate k sets non-j coordinate i to
+    `_ALT_BASE_COORDS[(k + i) % 4]` (`_alternates`): at most 4 are
+    distinct, and for n = 1 each is the base.  Each distinct one that
+    differs from the base is evaluated once, at the last order + 2 radii,
+    so a limit costs len(radii) + (order + 2) evaluations per such
+    alternate.  The rays, their tails and the steps come with `cfg`,
+    computed once.
     """
     _config(cfg, LimitConfig)
     if direction not in ("upper", "lower"):
@@ -469,30 +490,46 @@ def stoltz_limit(
     _integer(base_alternates, "base_alternates", 0)
     jj = j - 1
     base = _point(base)
-    # the ray and its steps 1/r are shared by the base and its alternates
-    ray = cfg._upper_ray if direction == "upper" else cfg._lower_ray
-    last = _EXTRAPOLATION_ORDER + 2
-    steps = cfg._steps[-last:]
+    # the ray's tail and its steps 1/r are shared by the base and its alternates
+    if direction == "upper":
+        ray, tail = cfg._upper_ray, cfg._upper_tail
+    else:
+        ray, tail = cfg._lower_ray, cfg._lower_tail
+    steps = cfg._tail_steps
     g = _on_coords(f, base.n)
+    head, rest = base.coords[:jj], base.coords[jj + 1 :]
+    values = [g(head + (zj,) + rest) / zj for zj in ray]
+    running, converged = _extrapolate(values[-len(tail) :], steps, _STOLTZ_TOL)
+    est = running[-1]
+    spread = 0.0  # the largest distance; as in max(), a NaN never replaces it
+    for alt_head, alt_rest in _alternates(n, jj)[:base_alternates]:
+        if alt_head == head and alt_rest == rest:
+            continue
+        alt = [g(alt_head + (zj,) + alt_rest) / zj for zj in tail]
+        running, alt_converged = _extrapolate(alt, steps, _STOLTZ_TOL)
+        distance = abs(running[-1] - est)
+        if distance > spread:
+            spread = distance
+        converged = converged and alt_converged
+    return StoltzResult(est, converged, direction, j, spread, values, cfg)
 
-    def along(coords, radii):
-        """(final extrapolant, converged, f(z)/z_j) on the last `radii` radii."""
-        head, tail = coords[:jj], coords[jj + 1 :]
-        values = [g(head + (zj,) + tail) / zj for zj in ray[-radii:]]
-        running, converged = _extrapolate(values[-last:], steps, _STOLTZ_TOL)
-        return running[-1], converged, values
 
-    est, converged, values = along(base.coords, len(ray))
+@functools.lru_cache(maxsize=MAX_DIMENSION * MAX_DIMENSION)
+def _alternates(n: int, jj: int) -> tuple:
+    """The (head, rest) of the distinct alternate bases of axis jj + 1 in
+    n variables, the coordinates before and after it, in the order of k.
+
+    Alternate k + 4 is alternate k.  For n >= 2 the four differ on every
+    non-j axis, so they are distinct; for n = 1 each is the empty base.
+    """
     alts = _ALT_BASE_COORDS
-    others = dict.fromkeys(
-        tuple(base.coords[i] if i == jj else alts[(k + i) % len(alts)] for i in range(n))
-        for k in range(base_alternates)
+    return tuple(
+        (
+            tuple([alts[(k + i) % len(alts)] for i in range(jj)]),
+            tuple([alts[(k + i) % len(alts)] for i in range(jj + 1, n)]),
+        )
+        for k in range(len(alts))
     )
-    others.pop(base.coords, None)
-    limits = [along(coords, last)[:2] for coords in others]
-    spread = max([0.0] + [abs(e - est) for e, _ in limits])
-    converged = converged and all(c for _, c in limits)
-    return StoltzResult(est, converged, direction, j, spread, tuple(values), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +699,9 @@ def _stieltjes(f, boundary, phi, cfg, quad, conv_tol, mode) -> InversionResult:
     """Integrate phi(x) * boundary(x, y) over R^n on the y ladder and
     extrapolate in the steps y to y -> 0+.  The quadrature hints of each
     row are the spikes of `measures.boundary_hints` at its y for the
-    function's `measure`, when it has one.  The callers have checked cfg
-    and quad."""
+    function's `measure`, when it has one, taken unchecked from the
+    measure's `_boundary_hints`: the quadrature makes every prefix and the
+    ladder every y.  The callers have checked cfg and quad."""
     n = phi.dimension
     if f.dimension != n:
         raise InvalidArgumentError("test function and function dimensions differ")
@@ -678,7 +716,7 @@ def _stieltjes(f, boundary, phi, cfg, quad, conv_tol, mode) -> InversionResult:
         def integrand(x, y=y):
             return phi_at(x) * boundary(x, y)
 
-        hints = None if mu is None else (lambda prefix, y=y: boundary_hints(mu, prefix, y))
+        hints = None if mu is None else (lambda prefix, y=y: mu._boundary_hints(prefix, y))
         val, _ = integrate_rn(integrand, n, quad, hints=hints)
         raw.append(val.real)
     running, converged = _extrapolate(raw, cfg.y_sequence, conv_tol)

@@ -48,6 +48,7 @@ import numpy as np
 
 from .core import (
     MAX_DIMENSION,
+    MIN_IMAG,
     CutPlanePoint,
     _dimension,
     _pole_pairs,
@@ -814,7 +815,20 @@ def boundary_hints(mu: Measure, prefix: tuple, y: float) -> list:
     through an earlier axis i spreads s over y/|alpha_i|, so its spike on
     this axis is P_y convolved with that: half-width y*(1 + |alpha/alpha_i|),
     2y on the diagonal.  Densities are smooth and give none.
+
+    The prefix is a sequence of finite reals that leaves an axis to
+    integrate (fewer entries than the measure's dimension), and y a finite
+    real >= MIN_IMAG, a ladder height's rule; anything else, or mu not a
+    measure, raises `InvalidArgumentError`.
     """
+    _measure(mu)
+    prefix = _reals(prefix, "prefix", "a prefix entry")
+    if len(prefix) >= mu.dimension:
+        raise InvalidArgumentError(
+            f"a prefix of {len(prefix)} coordinates leaves no axis of a measure "
+            f"of dimension {mu.dimension}"
+        )
+    _real(y, "y", MIN_IMAG)
     return mu._boundary_hints(prefix, y)
 
 

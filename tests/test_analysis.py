@@ -76,6 +76,45 @@ def test_richardson_tableau_on_halving_steps_is_the_ratio_form(ladder):
         assert richardson_tableau(vals, steps, 2) == want
 
 
+def oracle_tableau(values, h, order):
+    """The tableau column by column, each a new list of Neville steps."""
+    cols = [list(values)]
+    for m in range(1, order + 1):
+        prev = cols[-1]
+        if len(prev) < 2:
+            break
+        cols.append([(b * h[i] - a * h[i + m]) / (h[i] - h[i + m])
+                     for i, (a, b) in enumerate(zip(prev, prev[1:]))])
+    return cols
+
+
+def test_running_extrapolants_read_the_tableau_columns():
+    """Step k's extrapolant is column min(k, order) of `richardson_tableau`,
+    at its entry for the values up to step k; the verdict compares the last
+    two entries of column `order`.  Non-halving steps, ladders of 1 to 12."""
+    order = analysis._EXTRAPOLATION_ORDER
+    rng = np.random.default_rng(20261022)
+    verdicts = set()
+    for length in range(1, 13):
+        for _ in range(40):
+            steps = np.cumprod(rng.uniform(0.15, 0.9, length)).tolist()
+            limit, slope, curve = (complex(*rng.normal(size=2)) for _ in range(3))
+            values = [limit + slope * h + curve * h * h + rng.normal() * h**3 for h in steps]
+            tol = 10.0 ** rng.uniform(-14, 0)
+            cols = richardson_tableau(values, steps, order)
+            want = [cols[min(k, order)][k - min(k, order)] for k in range(length)]
+            converged = length >= order + 2 and abs(cols[-1][-1] - cols[-1][-2]) <= tol
+            assert repr(analysis._extrapolate(values, steps, tol)) == repr((want, converged))
+            verdicts.add(converged)
+            assert repr(cols) == repr(oracle_tableau(values, steps, order))
+            assert richardson_tableau(values, steps, 0) == [values]
+            for full in (length - 1, length + 3):
+                got = richardson_tableau(values, steps, full)
+                assert [len(col) for col in got] == list(range(length, 0, -1))
+                assert repr(got) == repr(oracle_tableau(values, steps, full))
+    assert verdicts == {True, False}
+
+
 def test_three_row_ladder_is_not_converged():
     # two full-order extrapolants need order + 2 = 4 rows; with three, the
     # last two extrapolants are of orders 1 and 2 and prove nothing

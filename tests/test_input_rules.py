@@ -26,9 +26,9 @@ checked before the integrand is called.  A caller's sequence (an atom's
 points and weights, a curve's alpha and beta, a Herglotz b, a config's
 ladders, a kernel's t, product factors, sum terms) is any iterable but a
 str, and junk in any data argument of a public constructor, config or
-point entry, of `pair_integral` or of the JSON readers raises the
-library's error or gives a result, never a raw TypeError, ValueError or
-AttributeError.  A pole pair is two finite complex numbers off the real
+point entry, of `pair_integral`, of `boundary_hints` or of the JSON
+readers raises the library's error or gives a result, never a raw
+TypeError, ValueError or AttributeError.  A pole pair is two finite complex numbers off the real
 axis, by the rule of a point's coordinates.
 """
 
@@ -102,6 +102,7 @@ from polyherglotz.core import MAX_DIMENSION
 from polyherglotz.functions import _Affine
 from polyherglotz.measures import (
     _curve_pair_integral,
+    boundary_hints,
     density_from_dict,
     measure_to_dict,
     pair_integral,
@@ -463,6 +464,12 @@ REAL_ENTRIES = {
         [0.0, -5e-4],
     ),
     "phi_gaussian sigma": (lambda x: phi_gaussian(2, x), InvalidArgumentError, [0.0, -1.0]),
+    "boundary_hints y": (
+        lambda x: boundary_hints(MU2, (0.3,), x), InvalidArgumentError, [0.0, -0.25, 1e-310]
+    ),
+    "boundary_hints prefix entry": (
+        lambda x: boundary_hints(MU2, (x,), 0.25), InvalidArgumentError, []
+    ),
     "alternating_boundary_sum y": (
         lambda x: alternating_boundary_sum(F2, (0.3, -0.2), x),
         InvalidPointError,
@@ -590,6 +597,7 @@ MEASURE_ENTRIES = {
     "nevanlinna_residual": lambda mu: nevanlinna_residual(mu, point(1j, 1j)),
     "integrate": lambda mu: integrate(mu, lambda t: 1.0),
     "pair_integral": lambda mu: pair_integral(mu, [(1j, -1j)]),
+    "boundary_hints": lambda mu: boundary_hints(mu, (), 0.25),
     "measure_to_dict": measure_to_dict,
 }
 
@@ -680,6 +688,7 @@ JUNK_ENTRIES = {
     ),
     "richardson_tableau": (richardson_tableau, [[1.0, 2.0], [1.0, 0.5], 1]),
     "pair_integral": (pair_integral, [LAMBDA1, [(1j, -1j)]]),
+    "boundary_hints": (boundary_hints, [MU2, (0.3,), 0.25]),
     "function_from_json": (function_from_json, ['{"type": "catalogue", "id": "f2"}']),
     "measure_from_json": (measure_from_json, [measure_to_json(LAMBDA1)]),
 }
@@ -728,6 +737,11 @@ MALFORMED_CALLS = {
     ),
     "pair_integral real pole": (
         lambda: pair_integral(MU2, [(1j, -1j), (0.5, -1j)]), InvalidArgumentError
+    ),
+    "boundary_hints(5, (), y)": (lambda: boundary_hints(5, (), 0.1), InvalidArgumentError),
+    "boundary_hints prefix 5": (lambda: boundary_hints(MU2, 5, 0.1), InvalidArgumentError),
+    "boundary_hints full prefix": (
+        lambda: boundary_hints(MU2, (0.3, 0.5), 0.1), InvalidArgumentError
     ),
     "function_from_json(None)": (lambda: function_from_json(None), InvalidArgumentError),
     "measure_from_json(5)": (lambda: measure_from_json(5), InvalidArgumentError),

@@ -116,14 +116,14 @@ def oracle_ray(f, j, base_coords, cfg, direction, conv_tol):
     return top[-1], converged, values
 
 
-def oracle_stoltz(f, j, base, direction, conv_tol=1e-7, base_alternates=3):
+def oracle_stoltz(f, j, base, direction, conv_tol=1e-7, base_alternates=3, cfg=DEFAULT_LIMITS):
     jj, n = j - 1, f.dimension
-    est, converged, values = oracle_ray(f, jj, base, DEFAULT_LIMITS, direction, conv_tol)
+    est, converged, values = oracle_ray(f, jj, base, cfg, direction, conv_tol)
     spread = 0.0
     alts = analysis._ALT_BASE_COORDS
     for k in range(base_alternates):
         alt = tuple(base[i] if i == jj else alts[(k + i) % len(alts)] for i in range(n))
-        alt_est, alt_conv, _ = oracle_ray(f, jj, alt, DEFAULT_LIMITS, direction, conv_tol)
+        alt_est, alt_conv, _ = oracle_ray(f, jj, alt, cfg, direction, conv_tol)
         converged = converged and alt_conv
         spread = max(spread, abs(alt_est - est))
     return est, converged, spread, values
@@ -203,6 +203,37 @@ def test_stoltz_limits_match_the_full_oracle_at_every_alternate_count(name):
                 got = (s.estimate, s.converged, s.base_spread, list(s.samples))
                 want = oracle_stoltz(f, j, base, direction, base_alternates=alternates)
                 assert repr(got) == repr(want), (base, alternates, direction)
+
+
+#: Rays beyond `DEFAULT_LIMITS`: 1, 2 and 3 radii, fewer than order + 2,
+#: which reach the column they can and never converge; quartering radii;
+#: irregular increasing radii, two of them close; and a narrower sector.
+ORACLE_LIMITS = {
+    "1 radius": LimitConfig(radius_sequence=(8.0,)),
+    "2 radii": LimitConfig(radius_sequence=(8.0, 16.0)),
+    "3 radii": LimitConfig(radius_sequence=(8.0, 16.0, 32.0)),
+    "quartering": LimitConfig(radius_sequence=tuple(4.0**k for k in range(2, 8))),
+    "irregular": LimitConfig(radius_sequence=(3.0, 7.5, 11.0, 40.0, 41.5, 130.0, 1000.0)),
+    "angle 0.3": LimitConfig(stoltz_angle=0.3),
+}
+
+
+@pytest.mark.parametrize("limits", sorted(ORACLE_LIMITS))
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_stoltz_limits_match_the_oracle_on_other_rays(name, limits):
+    f, cfg = FUNCTIONS[name], ORACLE_LIMITS[limits]
+    n = f.dimension
+    rng = np.random.default_rng(31)
+    for k, alternates in enumerate((0, 3, 9)):
+        base = seeded_point(rng, (1,) * n)
+        j = 1 + k % n
+        for direction in ("upper", "lower"):
+            s = stoltz_limit(f, j, base, cfg, direction, alternates)
+            got = (s.estimate, s.converged, s.base_spread, list(s.samples))
+            want = oracle_stoltz(f, j, base, direction, base_alternates=alternates, cfg=cfg)
+            assert repr(got) == repr(want), (alternates, direction)
+            if len(cfg.radius_sequence) < _EXTRAPOLATION_ORDER + 2:
+                assert not s.converged
 
 
 # --- work counts -----------------------------------------------------------------
@@ -326,6 +357,13 @@ def test_limit_config_rays_are_not_fields():
     assert cfg._upper_ray == (2.0 * phase, 4.0 * phase)
     assert cfg._lower_ray == (2.0 * phase.conjugate(), 4.0 * phase.conjugate())
     assert cfg._steps == (0.5, 0.25)
+    assert (cfg._upper_tail, cfg._lower_tail, cfg._tail_steps) == (
+        cfg._upper_ray, cfg._lower_ray, cfg._steps
+    )
+    tail = -(_EXTRAPOLATION_ORDER + 2)
+    assert DEFAULT_LIMITS._upper_tail == DEFAULT_LIMITS._upper_ray[tail:]
+    assert DEFAULT_LIMITS._lower_tail == DEFAULT_LIMITS._lower_ray[tail:]
+    assert DEFAULT_LIMITS._tail_steps == DEFAULT_LIMITS._steps[tail:]
     moved = dataclasses.replace(cfg, stoltz_angle=0.25)
     assert moved._upper_ray == (2.0 * cmath.exp(0.25j), 4.0 * cmath.exp(0.25j))
 

@@ -50,6 +50,7 @@ from .core import (
 )
 from .errors import InvalidArgumentError, TestFunctionBoundError
 from .functions import _Affine
+from .measures import _measure
 from .quadrature import QuadratureConfig, integrate_rn
 
 DEFAULT_SEED = 1729
@@ -701,13 +702,16 @@ def _stieltjes(f, boundary, phi, cfg, quad, conv_tol, mode) -> InversionResult:
     row are the spikes of `measures.boundary_hints` at its y for the
     function's `measure`, when it has one, taken unchecked from the
     measure's `_boundary_hints`: the quadrature makes every prefix and the
-    ladder every y.  The callers have checked cfg and quad."""
+    ladder every y.  The measure itself is checked (`measures._measure`)
+    before any quadrature.  The callers have checked cfg and quad."""
     n = phi.dimension
     if f.dimension != n:
         raise InvalidArgumentError("test function and function dimensions differ")
     _real(conv_tol, "tolerance", 0, open_lo=True)
-    _spot_check_bound(phi)
     mu = getattr(f, "measure", None)
+    if mu is not None:
+        _measure(mu)
+    _spot_check_bound(phi)
     phi_at = phi.func
 
     raw = []

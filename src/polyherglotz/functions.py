@@ -30,6 +30,16 @@ then the imaginary part) share the nodes in theta: no function takes a
 quadrature setting.
 Building a function runs no quadrature.
 
+A measure whose pair integrals read only which half-plane each pole lies
+in (`_half_planes_only`: scaled Lebesgue measure, a product of constant
+densities, a sum of such terms) has a Cauchy-type function that is
+constant on each of the 2^n components.  Construction tabulates it: the
+formula runs once at the point of +-i coordinates of each component, and
+`_at` and `evaluate` return the stored value (with the error estimate
+0.0) for the bitmask of the point's lower axes, as `ClosedFormFunction`
+reads its branches.  Every other measure evaluates its pair integral at
+every point.
+
 Every function object exposes `measure`: the defining measure of a
 Cauchy-type function or a catalogue entry that has one, the representing
 measure of a Herglotz function, the inner function's for a restriction or
@@ -71,21 +81,41 @@ class CauchyTypeFunction(_Function):
         if not growth.finite:
             raise InvalidMeasureError("the growth integral of the measure is not finite")
         self.measure = measure
-        self.dimension = measure.dimension
-        self._prefactor = 1.0 / math.pi**self.dimension
+        self.dimension = n = measure.dimension
+        self._prefactor = 1.0 / math.pi**n
         self._growth = growth.value
+        # g of a measure whose pair integrals read only the half-plane of each
+        # pole is constant on each component: its value at the point of +-i
+        # coordinates, indexed by the bitmask of the lower axes
+        self._table = None
+        if measure._half_planes_only():
+            self._table = [
+                self._formula(tuple([-1j if mask >> j & 1 else 1j for j in range(n)]))[0]
+                for mask in range(1 << n)
+            ]
 
-    def evaluate(self, z) -> tuple:
-        zs = _point(z, self.dimension).coords
+    def _formula(self, zs: tuple) -> tuple:
+        """(g, error estimate) at the coordinates zs, from the pair integral."""
         val, err = self.measure._pair_integral([(c, -1j) for c in zs])
         return (
             self._prefactor * (1j * (2.0 * val - self._growth)),
             self._prefactor * (2.0 * err),
         )
 
+    def evaluate(self, z) -> tuple:
+        zs = _point(z, self.dimension).coords
+        if self._table is None:
+            return self._formula(zs)
+        return self._at(zs), 0.0
+
     def _at(self, zs: tuple) -> complex:
-        val, _ = self.measure._pair_integral([(c, -1j) for c in zs])
-        return self._prefactor * (1j * (2.0 * val - self._growth))
+        table = self._table
+        if table is None:
+            return self._formula(zs)[0]
+        mask = 0
+        for c in reversed(zs):
+            mask = 2 * mask + (c.imag < 0)
+        return table[mask]
 
 
 def evaluate_cauchy(mu: Measure, z) -> complex:
@@ -150,12 +180,25 @@ class ClosedFormFunction(_Function):
     entries define all four components of the two-variable cut-plane.
     A branch takes the n coordinates and returns a complex value.
     `branches` is read once, at construction, into a table indexed by the
-    bitmask of the lower axes (bit j set when Im z_(j+1) < 0, as in `core`).
+    bitmask of the lower axes (bit j set when Im z_(j+1) < 0, as in `core`);
+    a key that is not a tuple of n signs (ints 1 or -1) or a branch that is
+    not callable raises `InvalidArgumentError` there.
     """
 
     def __init__(self, name, dimension, branches, measure=None):
         _dimension(dimension, "dimension", InvalidArgumentError)
         _config(branches, dict)
+        for signs, branch in branches.items():
+            if not (
+                isinstance(signs, tuple)
+                and len(signs) == dimension
+                and all(type(s) is int and s in (1, -1) for s in signs)
+            ):
+                raise InvalidArgumentError(
+                    f"a branch key is a tuple of {dimension} signs 1 or -1, not {signs!r}"
+                )
+            if not callable(branch):
+                raise InvalidArgumentError(f"the branch for component {signs} is not callable")
         self.name = name
         self.dimension = dimension
         self.branches = branches

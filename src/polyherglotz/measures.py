@@ -11,8 +11,11 @@ takes a measure checks it with `_measure`.
 Each variant is a subclass of `_Measure` and owns its operations: its
 pole-pair integral (`_pair_integral`), its exact residual (`_residual`),
 its boundary hints, its share of `integrate`'s density quadrature
-(`_density`) or its own exact or line integral (`_integral`), and its JSON
-form.  The public functions check their arguments and call the method.
+(`_density`) or its own exact or line integral (`_integral`), whether its
+pair integrals read only the half-plane of each pole (`_half_planes_only`:
+scaled Lebesgue measure, a product of constant densities and a sum of
+such terms), and its JSON form.  The public functions check their
+arguments and call the method.
 A new variant is one class and one line of the JSON tag table.
 
 The kernel integral, the Nevanlinna residual and the growth integral are
@@ -427,6 +430,11 @@ class _Measure:
         """(value, error) of f dmu for a term that `integrate` takes alone; None for none."""
         return None
 
+    def _half_planes_only(self) -> bool:
+        """Whether `_pair_integral` reads only which half-plane each pole lies
+        in, so that its Cauchy transform is constant on each component."""
+        return False
+
 
 @dataclass(frozen=True)
 class Atomic(_Measure):
@@ -507,6 +515,9 @@ class LebesgueScaled(_Measure):
         # c = 0 integrates to 0 without a decay check
         return self.c if self.c != 0.0 else None
 
+    def _half_planes_only(self):
+        return True
+
     def _to_dict(self) -> dict:
         return {"type": "lebesgue_scaled", "c": self.c, "dimension": self.dim}
 
@@ -538,6 +549,9 @@ class ProductDensity(_Measure):
         # a unit constant factor adds nothing to the product
         unit = constant_density(1.0)
         return tuple((l, w._fn) for l, w in enumerate(self.factors) if w != unit)
+
+    def _half_planes_only(self):
+        return all(w.form == "constant" for w in self.factors)
 
     def _to_dict(self) -> dict:
         return {
@@ -683,6 +697,9 @@ class MeasureSum(_Measure):
 
     def _boundary_hints(self, prefix, y):
         return [x for t in self.terms for x in t._boundary_hints(prefix, y)]
+
+    def _half_planes_only(self):
+        return all(t._half_planes_only() for t in self.terms)
 
     def _to_dict(self) -> dict:
         return {"type": "sum", "terms": [t._to_dict() for t in self.terms]}

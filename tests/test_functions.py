@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyherglotz import (
     CauchyTypeFunction,
@@ -27,7 +28,16 @@ from polyherglotz import (
     positivity_check,
     restrict_to_upper,
 )
-from polyherglotz.measures import Atomic, check_growth, GrowthResult
+from polyherglotz.measures import (
+    Atomic,
+    CurvePushforward,
+    GrowthResult,
+    MeasureSum,
+    ProductDensity,
+    cauchy_weight,
+    check_growth,
+    constant_density,
+)
 from conftest import random_cut_point
 
 PI = math.pi
@@ -345,3 +355,123 @@ def test_a_restriction_checks_the_dimension_before_the_half_plane():
             call(point(-1j, 1j, 1j))
         with pytest.raises(InvalidArgumentError, match=r"only defined on C\+\^n$"):
             call(point(-1j, 1j))
+
+
+# --- Cauchy transforms that are constant on each component ---------------------------
+
+
+def pair_integral_formula(mu, zs):
+    """g(z) and its error estimate from mu's pair integral, as every
+    Cauchy-type function of mu computes it without a table."""
+    val, err = mu._pair_integral([(c, -1j) for c in zs])
+    scale = 1.0 / PI ** len(zs)
+    return scale * (1j * (2.0 * val - check_growth(mu).value)), scale * (2.0 * err)
+
+
+def component_points(data, n):
+    """One drawn point in each of the 2^n components, in bitmask order of
+    the lower axes (bit j set when Im z_(j+1) < 0)."""
+    re = st.floats(-1e3, 1e3)
+    im = st.floats(1e-6, 1e3)
+    return [
+        tuple(
+            complex(data.draw(re), -data.draw(im) if mask >> j & 1 else data.draw(im))
+            for j in range(n)
+        )
+        for mask in range(1 << n)
+    ]
+
+
+def assert_table_is_the_formula(f, mu, pts):
+    for mask, zs in enumerate(pts):
+        want, want_err = pair_integral_formula(mu, zs)
+        val, err = f.evaluate(point(*zs))
+        assert repr(f._at(zs)) == repr(f(point(*zs))) == repr(val) == repr(want), mask
+        assert repr(err) == repr(want_err) == "0.0"
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), c=st.sampled_from([0.0, 0.3, 1.0, 4.5]), data=st.data())
+def test_a_lebesgue_transform_is_its_table(n, c, data):
+    mu = LebesgueScaled(c, n)
+    g = CauchyTypeFunction(mu)
+    assert len(g._table) == 2**n
+    assert_table_is_the_formula(g, mu, component_points(data, n))
+
+
+TABULATED = {
+    "sum of Lebesgue terms": MeasureSum(
+        (LebesgueScaled(0.3, 2), MeasureSum((LebesgueScaled(4.5, 2),)), LebesgueScaled(1.0, 2))
+    ),
+    "product of constant densities": ProductDensity(
+        (constant_density(2.0), constant_density(0.3), constant_density(1.0))
+    ),
+    "sum of a product and a Lebesgue term": MeasureSum(
+        (ProductDensity((constant_density(4.5), constant_density(0.0))), LebesgueScaled(1.0, 2))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABULATED))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_measures_whose_pair_integrals_read_half_planes_are_tabulated(name, data):
+    mu = TABULATED[name]
+    g = CauchyTypeFunction(mu)
+    assert mu._half_planes_only() and len(g._table) == 2**mu.dimension
+    assert_table_is_the_formula(g, mu, component_points(data, mu.dimension))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_herglotz_function_over_lambda2_reads_the_table(data):
+    mu = LebesgueScaled(1.0, 2)
+    h = HerglotzFunction(HerglotzTriple(0.5, (0.0, 2.0), mu))
+    assert h.inner._table is not None
+    for zs in component_points(data, 2):
+        g, g_err = pair_integral_formula(mu, zs)
+        want = 0.5 + (0.0 * zs[0] + 2.0 * zs[1]) + g
+        val, err = h.evaluate(point(*zs))
+        assert repr(h._at(zs)) == repr(h(point(*zs))) == repr(val) == repr(want)
+        assert repr(err) == repr(g_err)
+
+
+UNTABULATED = {
+    "atomic": Atomic(((0.5, -1.0), (2.0, 0.0)), (2.0, 0.5)),
+    "cauchy_weight product": ProductDensity((cauchy_weight(), constant_density(1.0))),
+    "MU2": MU2,
+    "f4 defining sum": F4_DEFINING_MEASURE,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTABULATED))
+def test_other_measures_take_the_pair_integral_on_every_call(name, monkeypatch, rng):
+    mu = UNTABULATED[name]
+    g = CauchyTypeFunction(mu)
+    assert not mu._half_planes_only() and g._table is None
+    calls = []
+    for cls in (Atomic, LebesgueScaled, ProductDensity, CurvePushforward):
+        pair_integral = cls._pair_integral
+        monkeypatch.setattr(
+            cls,
+            "_pair_integral",
+            lambda self, pairs, f=pair_integral: calls.append(self) or f(self, pairs),
+        )
+    leaves = len(mu._terms())  # the terms whose `_pair_integral` a call reaches
+    for _ in range(3):
+        p = random_cut_point(rng, 2)
+        del calls[:]
+        values = [g._at(p.coords), g(p), g.evaluate(p)[0]]
+        assert len(calls) == 3 * leaves
+        assert len({repr(v) for v in values + [pair_integral_formula(mu, p.coords)[0]]}) == 1
+
+
+def test_points_of_one_component_share_one_value_object(monkeypatch):
+    g = CauchyTypeFunction(LebesgueScaled(1.0, 2))
+    monkeypatch.delattr(LebesgueScaled, "_pair_integral")  # no evaluation computes anew
+    for signs in COMPONENT_POINTS:
+        a = point(*(complex(0.5, 2.0 * s) for s in signs))
+        b = point(*(complex(-40.0, 1e-3 * s) for s in signs))
+        (va, ea), (vb, eb) = g.evaluate(a), g.evaluate(b)
+        assert va is vb is g(a) is g._at(b.coords)
+        assert ea == eb == 0.0

@@ -612,6 +612,32 @@ def test_measure_arguments_reject_a_non_measure(entry, mu):
     assert info.type is InvalidArgumentError
 
 
+class FunctionWithMeasure:
+    """A one-variable function object, outside the library, whose `measure`
+    attribute is whatever it was given."""
+
+    dimension = 1
+
+    def __init__(self, mu):
+        self.measure = mu
+
+    def __call__(self, z):
+        return 1j
+
+
+def no_quadrature(*args, **kwargs):
+    raise AssertionError("a quadrature ran before the measure was checked")
+
+
+@pytest.mark.parametrize("mu", [True, "lebesgue", 1j, NAN, W, (LAMBDA1,)], ids=repr)
+@pytest.mark.parametrize("entry", [stieltjes_classic, stieltjes_cauchy_type], ids=lambda e: e.__name__)
+def test_stieltjes_inversion_checks_the_function_measure_first(entry, mu, monkeypatch):
+    monkeypatch.setattr(analysis, "integrate_rn", no_quadrature)
+    with pytest.raises(InvalidArgumentError, match="unknown measure variant") as info:
+        entry(FunctionWithMeasure(mu), phi_cauchy(1))
+    assert info.type is InvalidArgumentError
+
+
 # --- junk data ------------------------------------------------------------------------
 
 #: What a caller may pass by mistake where data is due: 1j is junk where a
@@ -640,6 +666,10 @@ JUNK_ENTRIES = {
     "CauchyTypeFunction": (CauchyTypeFunction, [LAMBDA1]),
     "HerglotzFunction": (HerglotzFunction, [TRIPLE1]),
     "ClosedFormFunction": (ClosedFormFunction, ["x", 2, {}, None]),
+    "ClosedFormFunction branch": (
+        lambda branch: ClosedFormFunction("x", 2, {(1, 1): branch})(point(1j, 1j)),
+        [F2.branches[(1, 1)]],
+    ),
     "catalogue": (catalogue, ["f2"]),
     "function_from_dict": (function_from_dict, [{"type": "catalogue", "id": "f2"}]),
     "phi_cauchy": (phi_cauchy, [2]),
@@ -726,6 +756,22 @@ MALFORMED_CALLS = {
     "MeasureSum": (lambda: MeasureSum(5), InvalidMeasureError),
     "ClosedFormFunction branches": (
         lambda: ClosedFormFunction("x", 2, None), InvalidArgumentError
+    ),
+    "ClosedFormFunction key (1, 2)": (
+        lambda: ClosedFormFunction("x", 2, {(1, 2): F2.branches[(1, 1)]}), InvalidArgumentError
+    ),
+    "ClosedFormFunction key (1,)": (
+        lambda: ClosedFormFunction("x", 2, {(1,): F2.branches[(1, 1)]}), InvalidArgumentError
+    ),
+    "ClosedFormFunction key 'pp'": (
+        lambda: ClosedFormFunction("x", 2, {"pp": F2.branches[(1, 1)]}), InvalidArgumentError
+    ),
+    "ClosedFormFunction key (True, 1)": (
+        lambda: ClosedFormFunction("x", 2, {(True, 1): F2.branches[(1, 1)]}),
+        InvalidArgumentError,
+    ),
+    "ClosedFormFunction branch 3": (
+        lambda: ClosedFormFunction("x", 2, {(1, 1): 3}), InvalidArgumentError
     ),
     "rational_density": (lambda: rational_density(["x"]), InvalidMeasureError),
     "richardson_tableau": (lambda: richardson_tableau(5, [1.0], 1), InvalidArgumentError),
